@@ -20,22 +20,12 @@ from dataclasses import dataclass, fields
 
 from .conversions import (
     DEGENERATE,
+    _point_angles,
     angles_from_normal_point,
-    angles_from_sides,
     normal_point_from_sides,
     sides_from_angles,
 )
-from .errors import (
-    ArityMismatch,
-    DegenerateAngles,
-    DegenerateQuad,
-    DegenerateSegment,
-    GeometryError,
-    InvalidSides,
-    OutOfDomain,
-    PreconditionViolated,
-    UnboundedType,
-)
+from .errors import ArityMismatch, DegenerateAngles, GeometryError, InvalidSides
 from .figures import domain_figure, render_svg, with_point, with_triangle
 from .geometry import Point, Tolerance
 from .quads import Quadrilateral, in_d_region, normalize_quad
@@ -44,25 +34,13 @@ from .triangles import (
     FormKind,
     SideLengths,
     Triangle,
-    circle_normal_form,
-    classify,
+    _classify,
     c_normal_point,
+    circle_normal_form,
     in_c_domain,
     in_domain,
     normal_point,
     side_lengths,
-    triangle_from_sides,
-)
-
-_VALIDATION_ERRORS = (InvalidSides, ValueError)
-_DOMAIN_ERRORS = (
-    UnboundedType,
-    DegenerateAngles,
-    DegenerateQuad,
-    OutOfDomain,
-    ArityMismatch,
-    DegenerateSegment,
-    PreconditionViolated,
 )
 
 
@@ -179,23 +157,16 @@ def _shape_from_args(args, prefix: str = "") -> ShapeInput:
     return ShapeInput(angles=values)
 
 
-def _triangle_and_sides(shape: ShapeInput) -> tuple[Triangle, SideLengths]:
+def _triangle_parts(shape: ShapeInput) -> tuple[Triangle | None, SideLengths, Point]:
+    """The triangle (None for sides or angles), its sides and its c normal point."""
     if shape.points is not None:
         t = Triangle.of(*shape.points)
-        return t, side_lengths(t)
+        return t, side_lengths(t), c_normal_point(t)
     if shape.sides is not None:
         s = SideLengths.of(*shape.sides)
     else:
         s = sides_from_angles(AngleTriple(*shape.angles))
-    return triangle_from_sides(s), s
-
-
-def _report_angles(s: SideLengths, tol: Tolerance, degrees: bool):
-    try:
-        ang = angles_from_sides(s, tol)
-    except DegenerateAngles:
-        return None
-    return _angles_out(ang.as_tuple(), degrees)
+    return None, s, normal_point_from_sides(FormKind.C_VERTEX, s)
 
 
 def _angles_out(values: tuple[float, float, float], degrees: bool):
@@ -211,11 +182,14 @@ def _point_pair(p: Point) -> tuple[float, float]:
 def _triangle_record(
     command: str, shape: ShapeInput, kind: FormKind, tol: Tolerance, degrees: bool
 ) -> ReportRecord:
-    t, s = _triangle_and_sides(shape)
-    cls = classify(t, tol)
-    angles = _report_angles(s, tol, degrees)
+    t, s, pc = _triangle_parts(shape)
+    cls = _classify(pc, s, tol)
+    ang = _point_angles(FormKind.C_VERTEX, pc, tol)
+    angles = None if ang is DEGENERATE else _angles_out(ang.as_tuple(), degrees)
     if kind is FormKind.CIRCLE:
-        ref = circle_normal_form(angles_from_sides(s, tol))
+        if ang is DEGENERATE:
+            raise DegenerateAngles(f"sides {(s.a, s.b, s.c)!r} describe a degenerate triangle")
+        ref = circle_normal_form(ang)
         return ReportRecord(
             command=command,
             form_kind=kind.value,
@@ -225,7 +199,9 @@ def _triangle_record(
             angles=angles,
             side_ratios=s.ratios(),
         )
-    if shape.points is not None:
+    if kind is FormKind.C_VERTEX:
+        p = pc
+    elif t is not None:
         p = normal_point(kind, t, tol)
     else:
         p = normal_point_from_sides(kind, s)
@@ -319,15 +295,14 @@ def _cmd_classify(args, tol: Tolerance) -> list[ReportRecord]:
     shape = _shape_from_args(args)
     if shape.arity() != 3:
         raise ArityMismatch("classify applies to triangles; got 4 points")
-    t, s = _triangle_and_sides(shape)
-    cls = classify(t, tol)
+    record = _triangle_record("classify", shape, FormKind.C_VERTEX, tol, args.degrees)
     return [
         ReportRecord(
             command="classify",
-            angle_class=cls.angle_class.value,
-            side_class=cls.side_class.value,
-            angles=_report_angles(s, tol, args.degrees),
-            side_ratios=s.ratios(),
+            angle_class=record.angle_class,
+            side_class=record.side_class,
+            angles=record.angles,
+            side_ratios=record.side_ratios,
         )
     ]
 
@@ -372,8 +347,8 @@ def _cmd_similar(args, tol: Tolerance) -> list[ReportRecord]:
         key_a = _point_pair(fa.c) + _point_pair(fa.d)
         key_b = _point_pair(fb.c) + _point_pair(fb.d)
     else:
-        pa = c_normal_point(_triangle_and_sides(a)[0])
-        pb = c_normal_point(_triangle_and_sides(b)[0])
+        pa = _triangle_parts(a)[2]
+        pb = _triangle_parts(b)[2]
         verdict = pa.close_to(pb, tol)
         key_a = _point_pair(pa)
         key_b = _point_pair(pb)
@@ -528,8 +503,6 @@ def main(argv: list[str] | None = None) -> int:
         records = args.func(args, tol)
     except InvalidSides as exc:
         return _fail(exc, 2)
-    except _DOMAIN_ERRORS as exc:
-        return _fail(exc, 3)
     except GeometryError as exc:
         return _fail(exc, 3)
     except ValueError as exc:

@@ -2,9 +2,11 @@
 
 The three one-vertex normal points have rational coordinates in the squared
 side lengths plus one square root, so they can be computed without placing
-any vertices.  The reverse direction reads angles straight off a normal
-point with atan2, which stays correct on both sides of the vertical x = 1
-where naive arctangent quotients flip sign.
+any vertices.  The square root is taken of Kahan's factored radicand, which
+stays accurate on needle-shaped and nearly flat triples.  Angles are always
+read off a normal point with atan2, which stays correct on both sides of the
+vertical x = 1 where naive arctangent quotients flip sign; side lengths
+reach their angles through the longest-side normal point.
 """
 
 from __future__ import annotations
@@ -33,32 +35,29 @@ DEGENERATE = _DegenerateMarker()
 
 
 def _radicand(a: float, b: float, c: float) -> float:
-    # built from the squares only, so equal inputs cancel exactly; grouping
-    # as a difference of comparable terms keeps the relative error small
-    # even when two sides dwarf the third (fourth powers would round at a
-    # scale far above the result there)
-    aa, bb, cc = a * a, b * b, c * c
-    return 2.0 * aa * (bb + cc) - aa * aa - (bb - cc) * (bb - cc)
-
-
-def _height_root(a: float, b: float, c: float) -> float:
-    r = _radicand(a, b, c)
-    if r < 0.0:
-        if r >= -_RADICAND_CLAMP * (a + b + c) ** 4:
-            r = 0.0
-        else:
-            raise InvalidSides(f"triangle inequality fails for sides {(a, b, c)!r}")
-    return math.sqrt(r)
+    # Kahan's factored 16 * area^2 for sorted a <= b <= c; the parentheses
+    # must stay as written: each factor then carries a relative error of a
+    # few ulps, so needles and nearly flat triples keep their height, and
+    # a zero side against two equal ones cancels exactly
+    return (c + (b + a)) * (a - (c - b)) * (a + (c - b)) * (c + (b - a))
 
 
 def normal_point_from_sides(kind: FormKind, s: SideLengths) -> Point:
     """Closed-form normal point for any one-vertex form.
 
     The square root of the radicand equals four times the triangle area, so
-    the second coordinate vanishes exactly on degenerate triples.
+    the second coordinate vanishes exactly on degenerate triples.  The sides
+    are first rescaled by an exact power of two that brings c into [1/2, 1),
+    so no square overflows and the result is the same at every scale.
     """
-    a, b, c = s.a, s.b, s.c
-    root = _height_root(a, b, c)
+    k = -math.frexp(s.c)[1]
+    a, b, c = math.ldexp(s.a, k), math.ldexp(s.b, k), math.ldexp(s.c, k)
+    r = _radicand(a, b, c)
+    if r < 0.0:
+        if r < -_RADICAND_CLAMP * (a + b + c) ** 4:
+            raise InvalidSides(f"triangle inequality fails for sides {(s.a, s.b, s.c)!r}")
+        r = 0.0
+    root = math.sqrt(r)
     if kind is FormKind.C_VERTEX:
         den = 2.0 * c * c
         return Point((-a * a + b * b + c * c) / den, root / den)
@@ -123,6 +122,15 @@ def angles_from_normal_point(
     """
     if not in_domain(kind, p, tol):
         raise OutOfDomain(f"{p} is outside the region of the {kind.value!r} form")
+    return _point_angles(kind, p, tol)
+
+
+def _point_angles(kind: FormKind, p: Point, tol: Tolerance) -> AngleTriple | _DegenerateMarker:
+    """angles_from_normal_point without the region check.
+
+    For normal points computed by this package: rounding can leave them a
+    few ulps outside their region, which an eps below 1e-16 detects.
+    """
     if abs(p.y) <= tol.eps:
         return DEGENERATE
     at_origin = math.atan2(p.y, p.x)
@@ -145,16 +153,13 @@ def angles_from_normal_point(
 
 
 def angles_from_sides(s: SideLengths, tol: Tolerance = DEFAULT_TOL) -> AngleTriple:
-    """Interior angles by the law of cosines.
+    """Interior angles read off the longest-side normal point with atan2.
 
-    Degenerate triples (a + b = c or a = 0, judged relative to c) raise
+    Triples whose longest-side normal point lies within tol.eps of the
+    x-axis are degenerate, as classify judges them, and raise
     DegenerateAngles since no valid angle triple exists for them.
     """
-    a, b, c = s.a, s.b, s.c
-    if a <= tol.eps * c or a + b - c <= tol.eps * c:
-        raise DegenerateAngles(f"sides {(a, b, c)!r} describe a degenerate triangle")
-    cos_a = (b * b + c * c - a * a) / (2.0 * b * c)
-    cos_b = (a * a + c * c - b * b) / (2.0 * a * c)
-    alpha = math.acos(max(-1.0, min(1.0, cos_a)))
-    beta = math.acos(max(-1.0, min(1.0, cos_b)))
-    return AngleTriple(alpha, beta, math.pi - alpha - beta)
+    angles = _point_angles(FormKind.C_VERTEX, normal_point_from_sides(FormKind.C_VERTEX, s), tol)
+    if angles is DEGENERATE:
+        raise DegenerateAngles(f"sides {(s.a, s.b, s.c)!r} describe a degenerate triangle")
+    return angles

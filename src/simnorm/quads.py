@@ -26,7 +26,6 @@ from .geometry import (
     distance,
     quasilex_eq,
     reflect_normalize,
-    similarity_from_segment,
 )
 
 ANCHOR_A = ORIGIN
@@ -156,13 +155,18 @@ def normalize_quad(q: Quadrilateral, tol: Tolerance = DEFAULT_TOL) -> QuadNormal
     d_max = max(dists.values())
     extreme = [pair for pair in _QUAD_PAIRS if dists[pair] >= d_max * (1.0 - e)]
 
+    z = [complex(v.x, v.y) for v in verts]
     candidates: list[tuple[Point, Point]] = []
     for i, j in extreme:
-        rest = [verts[k] for k in range(4) if k != i and k != j]
-        for src, dst in ((verts[i], verts[j]), (verts[j], verts[i])):
-            place = similarity_from_segment(src, dst, ANCHOR_A, ANCHOR_B)
-            p1 = place.apply(rest[0])
-            p2 = place.apply(rest[1])
+        k, m = (n for n in range(4) if n != i and n != j)
+        for src, dst in ((i, j), (j, i)):
+            # the similarity sending src, dst to the anchors carries p to
+            # (p - src) / (dst - src)
+            den = z[dst] - z[src]
+            w1 = (z[k] - z[src]) / den
+            w2 = (z[m] - z[src]) / den
+            p1 = Point(w1.real, w1.imag)
+            p2 = Point(w2.real, w2.imag)
             for lead, trail in _leading_choices(p1, p2, e):
                 lead_images = _reflection_images(lead)
                 trail_images = _reflection_images(trail)

@@ -15,15 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DegenerateAngles, InvalidSides, UnboundedType
-from .geometry import (
-    DEFAULT_TOL,
-    ORIGIN,
-    Point,
-    SimilarityTransform,
-    Tolerance,
-    distance,
-    similarity_from_segment,
-)
+from .geometry import DEFAULT_TOL, ORIGIN, Point, Tolerance, distance
 
 _EQUILATERAL_POINT = Point(0.5, math.sqrt(3.0) / 2.0)
 
@@ -141,10 +133,6 @@ class AngleTriple:
 
 _PAIR_INDEXES = ((0, 1), (0, 2), (1, 2))
 
-_X_AXIS_REFLECT = SimilarityTransform(reflect=True)
-# reflection across the vertical line x = 1/2: conjugate, half turn, shift
-_MIDLINE_REFLECT = SimilarityTransform(rotation=math.pi, reflect=True, translation=Point(1.0, 0.0))
-
 
 def side_lengths(t: Triangle) -> SideLengths:
     """Sorted side lengths of a triangle."""
@@ -156,13 +144,14 @@ def triangle_from_sides(s: SideLengths) -> Triangle:
     """A concrete triangle with the given side lengths.
 
     Places the longest side on the x-axis from the origin; the third vertex
-    sits in the closed upper half plane.
+    is the longest-side normal point scaled by c, so it sits in the closed
+    upper half plane and keeps its height on needle-shaped triples.
     """
-    a, b, c = s.a, s.b, s.c
-    x = (-a * a + b * b + c * c) / (2.0 * c)
-    y_sq = b * b - x * x
-    y = math.sqrt(y_sq) if y_sq > 0.0 else 0.0
-    return Triangle((ORIGIN, Point(c, 0.0), Point(x, y)))
+    # deferred: conversions imports this module
+    from .conversions import normal_point_from_sides
+
+    p = normal_point_from_sides(FormKind.C_VERTEX, s)
+    return Triangle((ORIGIN, Point(s.c, 0.0), Point(s.c * p.x, s.c * p.y)))
 
 
 def _sorted_side_pairs(t: Triangle) -> list[tuple[float, tuple[int, int]]]:
@@ -173,26 +162,23 @@ def _sorted_side_pairs(t: Triangle) -> list[tuple[float, tuple[int, int]]]:
 
 
 def _one_vertex_point(t: Triangle, rank: int) -> Point:
-    """Shared pipeline behind the three one-vertex forms.
+    """Closed-form placement behind the three one-vertex forms.
 
-    Moves the side of the requested rank (0 shortest, 2 longest) onto the
-    x-axis starting at the origin, reflects the remaining vertex into the
-    upper half plane, dilates the side to unit length, and finally reflects
-    across x = 1/2 when needed.  The last reflection swaps the two anchor
-    vertices, which is what makes the endpoint order immaterial.
+    The side of the requested rank (0 shortest, 2 longest) runs from vertex
+    i to vertex j; the similarity sending it to (0,0)-(1,0) carries the
+    remaining vertex k to w = (z_k - z_i) / (z_j - z_i).  Folding y to |y|
+    reflects across the x-axis, and folding x to max(x, 1 - x) reflects
+    across x = 1/2, which swaps the two anchor vertices and so makes the
+    endpoint order immaterial.  Complex division scales its operands
+    internally, so tiny and huge inputs place as well as unit-scale ones.
     """
-    pairs = _sorted_side_pairs(t)
-    length, (i, j) = pairs[rank]
-    k = 3 - i - j
+    _, (i, j) = _sorted_side_pairs(t)[rank]
     v = t.vertices
-    place = similarity_from_segment(v[i], v[j], ORIGIN, Point(length, 0.0))
-    p = place.apply(v[k])
-    if p.y < 0.0:
-        p = _X_AXIS_REFLECT.apply(p)
-    p = SimilarityTransform(scale=1.0 / length).apply(p)
-    if p.x < 0.5:
-        p = _MIDLINE_REFLECT.apply(p)
-    return p
+    free = v[3 - i - j]
+    zi = complex(v[i].x, v[i].y)
+    w = (complex(free.x, free.y) - zi) / (complex(v[j].x, v[j].y) - zi)
+    x = w.real
+    return Point(x if x >= 0.5 else 1.0 - x, abs(w.imag))
 
 
 def c_normal_point(t: Triangle) -> Point:
@@ -328,17 +314,9 @@ def is_normal_circle_triangle(t: Triangle, tol: Tolerance = DEFAULT_TOL) -> bool
     return True
 
 
-def classify(t: Triangle, tol: Tolerance = DEFAULT_TOL) -> TriangleClass:
-    """Angle class from the longest-side normal point, side class from ratios.
-
-    Degeneracy wins over the right-angle test: the point (1, 0) lies on the
-    right-angle arc but reports DEGENERATE.  The angle test compares the
-    squared-radius residual (x - 1/2)^2 + y^2 - 1/4 against eps, which for
-    side lengths matches the Pythagorean gap a^2 + b^2 - c^2 scaled by
-    1 / (2 c^2).
-    """
+def _classify(p: Point, s: SideLengths, tol: Tolerance) -> TriangleClass:
+    """Classify by the longest-side normal point p and the side lengths s."""
     e = tol.eps
-    p = c_normal_point(t)
     if p.y <= e:
         angle = AngleClass.DEGENERATE
     else:
@@ -349,7 +327,6 @@ def classify(t: Triangle, tol: Tolerance = DEFAULT_TOL) -> TriangleClass:
             angle = AngleClass.OBTUSE
         else:
             angle = AngleClass.ACUTE
-    s = side_lengths(t)
     u = s.a / s.c
     v = s.b / s.c
     if 1.0 - u <= e:
@@ -359,6 +336,19 @@ def classify(t: Triangle, tol: Tolerance = DEFAULT_TOL) -> TriangleClass:
     else:
         side = SideClass.SCALENE
     return TriangleClass(angle, side)
+
+
+def classify(t: Triangle, tol: Tolerance = DEFAULT_TOL) -> TriangleClass:
+    """Angle class from the longest-side normal point, side class from ratios.
+
+    The triangle is degenerate exactly when its longest-side normal point
+    lies within eps of the x-axis, and degeneracy wins over the right-angle
+    test: the point (1, 0) lies on the right-angle arc but reports
+    DEGENERATE.  The angle test compares the squared-radius residual
+    (x - 1/2)^2 + y^2 - 1/4 against eps, which for side lengths matches the
+    Pythagorean gap a^2 + b^2 - c^2 scaled by 1 / (2 c^2).
+    """
+    return _classify(c_normal_point(t), side_lengths(t), tol)
 
 
 def triangles_similar(t1: Triangle, t2: Triangle, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -4,9 +4,82 @@ from __future__ import annotations
 
 import itertools
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
-from simnorm import DEFAULT_TOL, Point, Quadrilateral, Tolerance, distance, similarity_from_segment
+from simnorm import (
+    DEFAULT_TOL,
+    ORIGIN,
+    Point,
+    Quadrilateral,
+    SimilarityTransform,
+    Tolerance,
+    Triangle,
+    distance,
+    similarity_from_segment,
+)
 from simnorm.errors import DegenerateSegment
+
+_X_AXIS_REFLECT = SimilarityTransform(reflect=True)
+# reflection across the vertical line x = 1/2: conjugate, half turn, shift
+_MIDLINE_REFLECT = SimilarityTransform(rotation=math.pi, reflect=True, translation=Point(1.0, 0.0))
+
+
+def pipeline_normal_point(t: Triangle, rank: int) -> Point:
+    """One-vertex normal point by a chain of explicit similarity transforms.
+
+    Moves the side of the requested rank (0 shortest, 2 longest) onto the
+    x-axis starting at the origin, reflects the remaining vertex into the
+    upper half plane, dilates the side to unit length, and finally reflects
+    across x = 1/2 when needed.  Fitted and applied with cos/sin, it shares
+    no arithmetic with the library's complex-division placement, so it can
+    referee it.  Sides shorter than the absolute eps of
+    similarity_from_segment raise DegenerateSegment.
+    """
+    v = t.vertices
+    pairs = sorted((distance(v[i], v[j]), (i, j)) for i, j in ((0, 1), (0, 2), (1, 2)))
+    length, (i, j) = pairs[rank]
+    p = similarity_from_segment(v[i], v[j], ORIGIN, Point(length, 0.0)).apply(v[3 - i - j])
+    if p.y < 0.0:
+        p = _X_AXIS_REFLECT.apply(p)
+    p = SimilarityTransform(scale=1.0 / length).apply(p)
+    if p.x < 0.5:
+        p = _MIDLINE_REFLECT.apply(p)
+    return p
+
+
+def _exact_radicand(a: float, b: float, c: float) -> Fraction:
+    """16 * area^2 of the triangle with these side lengths, exactly."""
+    fa, fb, fc = Fraction(a), Fraction(b), Fraction(c)
+    return (fa + fb + fc) * (-fa + fb + fc) * (fa - fb + fc) * (fa + fb - fc)
+
+
+def _decimal_sqrt(r: Fraction) -> Decimal:
+    return (Decimal(r.numerator) / Decimal(r.denominator)).sqrt()
+
+
+def exact_c_height(a: float, b: float, c: float) -> float:
+    """Height of the longest-side normal point, correctly rounded."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        return float(_decimal_sqrt(_exact_radicand(a, b, c)) / (2 * Decimal(c) ** 2))
+
+
+def exact_smallest_angle(a: float, b: float, c: float) -> float:
+    """Angle opposite the shortest side a of sorted sides a <= b <= c.
+
+    Its tangent sqrt(radicand) / (b^2 + c^2 - a^2) is evaluated to 50
+    digits; atan is well conditioned, so the float result is within a few
+    ulps of the true angle.
+    """
+    fa, fb, fc = Fraction(a), Fraction(b), Fraction(c)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        den = fb * fb + fc * fc - fa * fa
+        tangent = _decimal_sqrt(_exact_radicand(a, b, c)) / (
+            Decimal(den.numerator) / Decimal(den.denominator)
+        )
+    return math.atan(float(tangent))
 
 
 def quads_similar_bruteforce(

@@ -78,6 +78,14 @@ def test_normalize_degenerate_marks_record(capsys):
     assert "angles" not in rec
 
 
+def test_normalize_needle_record_is_consistent(capsys):
+    (rec,) = run_json(capsys, "normalize", "--sides", "1e-8", "1", "1")
+    assert "degenerate" not in rec
+    assert rec["angle_class"] != "degenerate"
+    assert rec["normal_point"][1] == pytest.approx(1e-8, rel=1e-12)
+    assert rec["angles"][0] == pytest.approx(1e-8, rel=1e-12)
+
+
 def test_degrees_flag_converts_both_ways(capsys):
     (rec,) = run_json(capsys, "normalize", "--angles", "60", "60", "60", "--degrees")
     assert rec["angles"] == pytest.approx([60.0, 60.0, 60.0])

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from helpers import near_boundary_angles, rand_angles, rand_thick_triangle
+from oracles import exact_c_height, exact_smallest_angle
 from simnorm import (
     DEGENERATE,
     AngleTriple,
@@ -112,6 +113,45 @@ def test_angles_from_sides_degenerate_inputs():
         angles_from_sides(SideLengths.of(1.0, 2.0, 3.0))
     with pytest.raises(DegenerateAngles):
         angles_from_sides(SideLengths.of(0.0, 1.0, 1.0))
+
+
+def test_angles_from_sides_on_needles():
+    # the first triple is the acos route's worst case; the sweep covers
+    # shortest sides 1e-9..1e-5 against two nearly equal long ones
+    worst = (1.266695087165927e-08, 1.0, 1.0000000047911015)
+    got = angles_from_sides(SideLengths(*worst)).alpha
+    assert abs(got - exact_smallest_angle(*worst)) <= 1e-12 * got
+    rng = random.Random(507)
+    for _ in range(300):
+        a = 10.0 ** rng.uniform(-9.0, -5.0)
+        s = SideLengths(a, 1.0, 1.0 + a * rng.uniform(0.05, 0.95))
+        if normal_point_from_sides(FormKind.C_VERTEX, s).y <= Tolerance().eps:
+            with pytest.raises(DegenerateAngles):
+                angles_from_sides(s)
+            continue
+        want = exact_smallest_angle(s.a, s.b, s.c)
+        assert abs(angles_from_sides(s).alpha - want) <= 1e-12 * want
+
+
+def test_angles_from_sides_below_rounding_eps():
+    # the c point of an isosceles triple can sit an ulp outside the unit
+    # circle; angles_from_sides still reads its angles
+    s = SideLengths.of(0.21659939713061338, 0.7110582877913587, 0.7110582877913587)
+    got = angles_from_sides(s, Tolerance(1e-17))
+    assert got.alpha == pytest.approx(2.0 * math.asin(s.a / (2.0 * s.b)), rel=1e-12)
+
+
+def test_sides_at_extreme_scales():
+    unit = SideLengths.of(3.0, 4.0, 5.0)
+    for kind in ONE_POINT_KINDS:
+        want = normal_point_from_sides(kind, unit)
+        # exact power-of-two copies give bit-identical points
+        for e in (-1060, -600, 600, 1000):
+            scaled = SideLengths.of(math.ldexp(3.0, e), math.ldexp(4.0, e), math.ldexp(5.0, e))
+            assert normal_point_from_sides(kind, scaled) == want
+        for scale in (1e-200, 1e200):
+            scaled = SideLengths.of(3.0 * scale, 4.0 * scale, 5.0 * scale)
+            assert normal_point_from_sides(kind, scaled).close_to(want, Tolerance(1e-15))
 
 
 # inverse direction
@@ -228,6 +268,18 @@ def test_radicand_vanishes_exactly_on_equal_split():
     # whatever the magnitudes involved
     for b in (0.1, 1.0, 3.7, 1e6, 12345.6789):
         assert _radicand(0.0, b, b) == 0.0
+
+
+def test_flat_triples_keep_their_height():
+    rng = random.Random(508)
+    for _ in range(2000):
+        a = rng.uniform(0.1, 1.0)
+        b = rng.uniform(0.1, 1.0)
+        s = SideLengths.of(a, b, (a + b) * (1.0 - 10.0 ** rng.uniform(-14.0, -4.0)))
+        want = exact_c_height(s.a, s.b, s.c)
+        assert abs(normal_point_from_sides(FormKind.C_VERTEX, s).y - want) <= 1e-12 * want
+        vertex = triangle_from_sides(s).vertices[2]
+        assert abs(vertex.y / s.c - want) <= 1e-12 * want
 
 
 def test_height_clamp_window():

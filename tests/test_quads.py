@@ -89,6 +89,13 @@ def test_unit_square_canonical_form():
     assert form.d.close_to(Point(0.5, -0.5), TOL)
 
 
+def test_extreme_scales_share_the_unit_square_form():
+    form = normalize_quad(UNIT_SQUARE)
+    for scale in (1e-12, 1e200):
+        image = Quadrilateral.of(*(Point(scale * v.x, scale * v.y) for v in UNIT_SQUARE.vertices))
+        assert normalize_quad(image).close_to(form, Tolerance(1e-15))
+
+
 def test_doubled_segment_canonical_form():
     q = quad((0.0, 0.0), (2.0, 0.0), (2.0, 0.0), (0.0, 0.0))
     form = normalize_quad(q)

@@ -11,9 +11,10 @@ from helpers import (
     collinear_triangle,
     rand_thick_triangle,
     rand_transform,
+    rand_triangle,
     repeated_vertex_triangle,
 )
-from oracles import shoelace_area
+from oracles import pipeline_normal_point, shoelace_area
 from simnorm import (
     AngleClass,
     AngleTriple,
@@ -198,6 +199,35 @@ def test_c_point_height_matches_area():
         area = shoelace_area(*t.vertices)
         expected = 2.0 * area / (s.c * s.c)
         assert c_normal_point(t).y == pytest.approx(expected, rel=1e-9, abs=1e-12)
+
+
+def test_placement_matches_trig_pipeline():
+    # criterion 02's input mix: 10% collinear, 5% repeated vertex
+    rng = random.Random(408)
+    for _ in range(2000):
+        t = rand_triangle(rng, degenerate_fraction=0.10, repeat_fraction=0.05)
+        for rank, fn in ((2, c_normal_point), (1, b_normal_point), (0, a_normal_point)):
+            if rank == 0 and side_lengths(t).a == 0.0:
+                continue
+            want = pipeline_normal_point(t, rank)
+            have = fn(t)
+            limit = 1e-13 * max(1.0, abs(want.x), abs(want.y))
+            assert abs(have.x - want.x) <= limit
+            assert abs(have.y - want.y) <= limit
+
+
+def test_extreme_scales_share_the_unit_scale_form():
+    t = tri((0.0, 0.0), (4.0, 0.0), (0.0, 3.0))
+    for scale in (1e-12, 1e200):
+        image = tri((0.0, 0.0), (4.0 * scale, 0.0), (0.0, 3.0 * scale))
+        for fn in (c_normal_point, b_normal_point, a_normal_point):
+            assert fn(image).close_to(fn(t), Tolerance(1e-15))
+        assert classify(image) == classify(t)
+        assert triangles_similar(t, image)
+    rng = random.Random(409)
+    for _ in range(50):
+        t = rand_thick_triangle(rng)
+        assert triangles_similar(t, Triangle.of(*(Point(1e-10 * v.x, 1e-10 * v.y) for v in t.vertices)))
 
 
 def test_triangle_from_sides_roundtrip():
