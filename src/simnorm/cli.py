@@ -432,6 +432,22 @@ def _add_pair_flags(parser: argparse.ArgumentParser, prefix: str) -> None:
     group.add_argument(f"--{prefix}-angles", nargs=3, type=float, metavar="A")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads tokens such as -1,0 as values.
+
+    argparse takes a token starting with '-' for an option unless it looks
+    like a plain negative number, so a point with a negative x coordinate
+    would be rejected.  No option of simnorm contains a comma, so a token
+    with one and a single leading '-' is a value; '--flag=value' tokens
+    still go to argparse.  _parse_optional returns None for a value.
+    """
+
+    def _parse_optional(self, arg_string):
+        if arg_string[:1] == "-" and arg_string[1:2] != "-" and "," in arg_string:
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--eps", type=float, default=1e-9, help="comparison tolerance")
@@ -440,7 +456,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--format", choices=("text", "structured"), default="text", help="output format"
     )
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="simnorm",
         description="Canonical representatives of triangles and quadrilaterals up to similarity.",
     )

@@ -13,7 +13,7 @@ on identical representatives.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import DegenerateQuad, PreconditionViolated
@@ -23,15 +23,15 @@ from .geometry import (
     UNIT_X,
     Point,
     Tolerance,
-    distance,
     quasilex_eq,
-    reflect_normalize,
 )
 
 ANCHOR_A = ORIGIN
 ANCHOR_B = UNIT_X
 
-_QUAD_PAIRS = tuple(itertools.combinations(range(4), 2))
+# every vertex pair (i, j) in lexicographic order, with the two remaining
+# indices (k, m) ascending
+_PAIR_SPLITS = ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2), (1, 2, 0, 3), (1, 3, 0, 2), (2, 3, 0, 1))
 
 
 @dataclass(frozen=True)
@@ -97,28 +97,23 @@ def _reflection_images(p: Point) -> tuple[Point, Point, Point, Point]:
     )
 
 
-def _leading_choices(c1: Point, c2: Point, e: float) -> list[tuple[Point, Point]]:
-    """Which carried point may claim the c slot; ties admit both."""
-    m1 = abs(c1.x - 0.5)
-    m2 = abs(c2.x - 0.5)
+def _leading_choices(
+    x1: float, y1: float, x2: float, y2: float, e: float
+) -> tuple[tuple[float, float, float, float], ...]:
+    """Which carried point may claim the c slot, as (lead x, y, trail x, y); ties admit both."""
+    m1 = abs(x1 - 0.5)
+    m2 = abs(x2 - 0.5)
     if m1 > m2 + e:
-        return [(c1, c2)]
+        return ((x1, y1, x2, y2),)
     if m2 > m1 + e:
-        return [(c2, c1)]
-    y1 = abs(c1.y)
-    y2 = abs(c2.y)
-    if y1 > y2 + e:
-        return [(c1, c2)]
-    if y2 > y1 + e:
-        return [(c2, c1)]
-    return [(c1, c2), (c2, c1)]
-
-
-def _candidate_key(cand: tuple[Point, Point]) -> tuple[float, ...]:
-    c, d = cand
-    cs = reflect_normalize(c)
-    ds = reflect_normalize(d)
-    return (cs.x, cs.y, ds.x, ds.y, c.x, c.y, d.x, d.y)
+        return ((x2, y2, x1, y1),)
+    a1 = abs(y1)
+    a2 = abs(y2)
+    if a1 > a2 + e:
+        return ((x1, y1, x2, y2),)
+    if a2 > a1 + e:
+        return ((x2, y2, x1, y1),)
+    return ((x1, y1, x2, y2), (x2, y2, x1, y1))
 
 
 def _key_cmp(a: tuple[float, ...], b: tuple[float, ...], e: float) -> int:
@@ -138,6 +133,31 @@ def _key_cmp(a: tuple[float, ...], b: tuple[float, ...], e: float) -> int:
     return 0
 
 
+# Largest pairwise distances outside [_TINY, _HUGE] are first brought near 1
+# by an exact power of two.  Above _TINY, every coordinate difference that
+# matters at 53-bit precision relative to the extreme pair is a normal float;
+# below _HUGE, no difference, distance or sum inside the complex division
+# can overflow.
+_TINY = 2.0**-969
+_HUGE = 2.0**960
+
+
+def _pair_distances(xs: list[float], ys: list[float]) -> list[float]:
+    return [math.hypot(xs[j] - xs[i], ys[j] - ys[i]) for i, j, _, _ in _PAIR_SPLITS]
+
+
+def _rescaled(xs: list[float], ys: list[float], d_max: float) -> tuple[list[float], list[float]]:
+    """The coordinates times the power of two that brings d_max into [1/2, 1).
+
+    The exponent comes from the largest coordinate instead when d_max
+    overflowed, and is capped so that scaling up overflows no coordinate.
+    Scaling by a power of two is exact (J. L. Blue, ACM TOMS 4(1), 1978).
+    """
+    top = math.frexp(max(map(abs, xs + ys)))[1]
+    k = -top if math.isinf(d_max) else min(-math.frexp(d_max)[1], 1024 - top)
+    return [math.ldexp(x, k) for x in xs], [math.ldexp(y, k) for y in ys]
+
+
 def normalize_quad(q: Quadrilateral, tol: Tolerance = DEFAULT_TOL) -> QuadNormalForm:
     """Canonical representative of q's similarity class.
 
@@ -148,40 +168,57 @@ def normalize_quad(q: Quadrilateral, tol: Tolerance = DEFAULT_TOL) -> QuadNormal
     the quasilexicographic pair order.  Exact residual ties between equal
     keys fall through to raw coordinate comparison, which keeps the result
     deterministic for mirror-symmetric inputs.
+
+    The search runs on plain floats and builds Points only for the winning
+    c and d.  When the largest distance lies outside [2**-969, 2**960], the
+    coordinates are first rescaled by one exact power of two, so the form is
+    the same at every scale of the finite float range, subnormal included;
+    inputs inside that band are computed unscaled.
     """
     e = tol.eps
-    verts = q.vertices
-    dists = {pair: distance(verts[pair[0]], verts[pair[1]]) for pair in _QUAD_PAIRS}
-    d_max = max(dists.values())
-    extreme = [pair for pair in _QUAD_PAIRS if dists[pair] >= d_max * (1.0 - e)]
+    xs = [v.x for v in q.vertices]
+    ys = [v.y for v in q.vertices]
+    dists = _pair_distances(xs, ys)
+    d_max = max(dists)
+    if not _TINY <= d_max <= _HUGE:
+        xs, ys = _rescaled(xs, ys, d_max)
+        dists = _pair_distances(xs, ys)
+        d_max = max(dists)
+    limit = d_max * (1.0 - e)
 
-    z = [complex(v.x, v.y) for v in verts]
-    candidates: list[tuple[Point, Point]] = []
-    for i, j in extreme:
-        k, m = (n for n in range(4) if n != i and n != j)
+    z = [complex(x, y) for x, y in zip(xs, ys)]
+    best: tuple[float, ...] | None = None
+    for (i, j, k, m), dist in zip(_PAIR_SPLITS, dists):
+        if dist < limit:
+            continue
         for src, dst in ((i, j), (j, i)):
             # the similarity sending src, dst to the anchors carries p to
             # (p - src) / (dst - src)
             den = z[dst] - z[src]
             w1 = (z[k] - z[src]) / den
             w2 = (z[m] - z[src]) / den
-            p1 = Point(w1.real, w1.imag)
-            p2 = Point(w2.real, w2.imag)
-            for lead, trail in _leading_choices(p1, p2, e):
-                lead_images = _reflection_images(lead)
-                trail_images = _reflection_images(trail)
-                for li, ti in zip(lead_images, trail_images):
-                    if li.x >= 0.5 - e and li.y >= -e:
-                        candidates.append((li, ti))
-
-    best = candidates[0]
-    best_key = _candidate_key(best)
-    for cand in candidates[1:]:
-        key = _candidate_key(cand)
-        order = _key_cmp(key, best_key, e)
-        if order > 0 or (order == 0 and key > best_key):
-            best, best_key = cand, key
-    return QuadNormalForm(best[0], best[1])
+            for lx, ly, tx, ty in _leading_choices(w1.real, w1.imag, w2.real, w2.imag, e):
+                # the four reflections fixing the anchor pair
+                for cx, cy, dx, dy in (
+                    (lx, ly, tx, ty),
+                    (1.0 - lx, ly, 1.0 - tx, ty),
+                    (lx, -ly, tx, -ty),
+                    (1.0 - lx, -ly, 1.0 - tx, -ty),
+                ):
+                    if cx < 0.5 - e or cy < -e:
+                        continue
+                    # reflect-normalized images first, raw coordinates last
+                    key = (
+                        0.5 + abs(cx - 0.5), abs(cy), 0.5 + abs(dx - 0.5), abs(dy),
+                        cx, cy, dx, dy,
+                    )
+                    if best is None:
+                        best = key
+                        continue
+                    order = _key_cmp(key, best, e)
+                    if order > 0 or (order == 0 and key > best):
+                        best = key
+    return QuadNormalForm(Point(best[4], best[5]), Point(best[6], best[7]))
 
 
 def quads_similar(q1: Quadrilateral, q2: Quadrilateral, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -12,13 +12,16 @@ from simnorm import (
     ORIGIN,
     Point,
     Quadrilateral,
+    QuadNormalForm,
     SimilarityTransform,
     Tolerance,
     Triangle,
     distance,
+    reflect_normalize,
     similarity_from_segment,
 )
 from simnorm.errors import DegenerateSegment
+from simnorm.quads import _key_cmp, _reflection_images
 
 _X_AXIS_REFLECT = SimilarityTransform(reflect=True)
 # reflection across the vertical line x = 1/2: conjugate, half turn, shift
@@ -80,6 +83,72 @@ def exact_smallest_angle(a: float, b: float, c: float) -> float:
             Decimal(den.numerator) / Decimal(den.denominator)
         )
     return math.atan(float(tangent))
+
+
+def _pointwise_leading_choices(c1: Point, c2: Point, e: float) -> list[tuple[Point, Point]]:
+    m1 = abs(c1.x - 0.5)
+    m2 = abs(c2.x - 0.5)
+    if m1 > m2 + e:
+        return [(c1, c2)]
+    if m2 > m1 + e:
+        return [(c2, c1)]
+    y1 = abs(c1.y)
+    y2 = abs(c2.y)
+    if y1 > y2 + e:
+        return [(c1, c2)]
+    if y2 > y1 + e:
+        return [(c2, c1)]
+    return [(c1, c2), (c2, c1)]
+
+
+def _pointwise_key(cand: tuple[Point, Point]) -> tuple[float, ...]:
+    c, d = cand
+    cs = reflect_normalize(c)
+    ds = reflect_normalize(d)
+    return (cs.x, cs.y, ds.x, ds.y, c.x, c.y, d.x, d.y)
+
+
+def pointwise_normalize_quad(q: Quadrilateral, tol: Tolerance = DEFAULT_TOL) -> QuadNormalForm:
+    """Quad normal form built from validated Points at every step.
+
+    Places the carried points of every extreme pair and endpoint order,
+    materializes all four reflection images of both as Points, collects
+    every admissible candidate, and then picks the largest by the folded
+    key with the raw-coordinate tie-break.  It performs the same float
+    operations in the same order as normalize_quad at unit scale, so the
+    two must agree bit for bit there; it does not rescale, so it fails on
+    quads whose largest distance is subnormal or overflows.
+    """
+    e = tol.eps
+    verts = q.vertices
+    pairs = list(itertools.combinations(range(4), 2))
+    dists = {pair: distance(verts[pair[0]], verts[pair[1]]) for pair in pairs}
+    d_max = max(dists.values())
+    extreme = [pair for pair in pairs if dists[pair] >= d_max * (1.0 - e)]
+
+    z = [complex(v.x, v.y) for v in verts]
+    candidates: list[tuple[Point, Point]] = []
+    for i, j in extreme:
+        k, m = (n for n in range(4) if n != i and n != j)
+        for src, dst in ((i, j), (j, i)):
+            den = z[dst] - z[src]
+            w1 = (z[k] - z[src]) / den
+            w2 = (z[m] - z[src]) / den
+            p1 = Point(w1.real, w1.imag)
+            p2 = Point(w2.real, w2.imag)
+            for lead, trail in _pointwise_leading_choices(p1, p2, e):
+                for li, ti in zip(_reflection_images(lead), _reflection_images(trail)):
+                    if li.x >= 0.5 - e and li.y >= -e:
+                        candidates.append((li, ti))
+
+    best = candidates[0]
+    best_key = _pointwise_key(best)
+    for cand in candidates[1:]:
+        key = _pointwise_key(cand)
+        order = _key_cmp(key, best_key, e)
+        if order > 0 or (order == 0 and key > best_key):
+            best, best_key = cand, key
+    return QuadNormalForm(best[0], best[1])
 
 
 def quads_similar_bruteforce(

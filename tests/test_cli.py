@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from figchecks import check_figure, markers_by_class
+from simnorm import Point, Quadrilateral, Triangle, c_normal_point, normalize_quad
 from simnorm.cli import ReportRecord, main
 
 
@@ -72,6 +73,29 @@ def test_normalize_quad_points_dispatches(capsys):
     assert rec["quad_d"] == pytest.approx([0.5, -0.5])
 
 
+def test_points_with_negative_coordinates(capsys):
+    (rec,) = run_json(capsys, "normalize", "--points", "1,0", "-1,0", "0,1")
+    p = c_normal_point(Triangle.of(Point(1.0, 0.0), Point(-1.0, 0.0), Point(0.0, 1.0)))
+    assert rec["normal_point"] == [p.x, p.y]
+    coords = ((-1.5, 0.25), (2.0, -1.0), (-0.5, -2.0), (0.75, 1.5))
+    (rec,) = run_json(capsys, "normalize", "--points", *(f"{x},{y}" for x, y in coords))
+    form = normalize_quad(Quadrilateral.of(*(Point(x, y) for x, y in coords)))
+    assert rec["quad_c"] == [form.c.x, form.c.y]
+    assert rec["quad_d"] == [form.d.x, form.d.y]
+    (rec,) = run_json(
+        capsys, "similar", "--a-points", "-1,0", "1,0", "0,-1", "--b-points", "0,0", "-2,0", "-1,1"
+    )
+    assert rec["similar"] is True
+
+
+def test_subnormal_square_is_in_domain(capsys):
+    (rec,) = run_json(
+        capsys, "normalize", "--points", "0,0", "5e-324,0", "5e-324,5e-324", "0,5e-324"
+    )
+    assert rec["quad_c"] == [0.5, 0.5]
+    assert rec["in_domain"] is True
+
+
 def test_normalize_degenerate_marks_record(capsys):
     (rec,) = run_json(capsys, "normalize", "--points", "0,0", "1,0", "2,0")
     assert rec["degenerate"] is True
@@ -129,6 +153,12 @@ def test_convert_degenerate_point(capsys):
 
 def test_convert_out_of_domain_point(capsys):
     code, _, err = run(capsys, "convert", "--point", "3,3", "--kind", "c")
+    assert code == 3
+    assert "error: OutOfDomain" in err
+
+
+def test_convert_point_with_negative_x_parses(capsys):
+    code, _, err = run(capsys, "convert", "--point", "-0.3,0.2", "--kind", "c")
     assert code == 3
     assert "error: OutOfDomain" in err
 

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from helpers import apply_to_quad, permuted_quad, rand_quad, rand_transform
-from oracles import quads_similar_bruteforce
+from oracles import pointwise_normalize_quad, quads_similar_bruteforce
 from simnorm import (
     ANCHOR_A,
     ANCHOR_B,
@@ -24,6 +24,7 @@ from simnorm import (
     quads_similar,
     reflection_orbit_type_count,
 )
+from simnorm import quads
 from simnorm.quads import _reflection_images
 
 TOL = Tolerance(1e-9)
@@ -94,6 +95,87 @@ def test_extreme_scales_share_the_unit_square_form():
     for scale in (1e-12, 1e200):
         image = Quadrilateral.of(*(Point(scale * v.x, scale * v.y) for v in UNIT_SQUARE.vertices))
         assert normalize_quad(image).close_to(form, Tolerance(1e-15))
+
+
+def test_dyadic_quads_keep_their_form_at_every_power_of_two_scale():
+    kite = quad((0.0, 0.0), (2.0, 0.0), (1.0, 1.0), (1.0, -0.5))
+    rect = quad((0.0, 0.0), (2.0, 0.0), (2.0, 1.0), (0.0, 1.0))
+    for q in (UNIT_SQUARE, rect, kite):
+        form = normalize_quad(q)
+        coords = [c for v in q.vertices for c in (v.x, v.y)]
+        checked = 0
+        for k in range(-1074, 1024):
+            # only scales where every coordinate stays finite and exact
+            try:
+                scaled = [math.ldexp(c, k) for c in coords]
+            except OverflowError:
+                continue
+            if any(math.ldexp(c, -k) != o for c, o in zip(scaled, coords)):
+                continue
+            image = quad(*zip(scaled[::2], scaled[1::2]))
+            assert normalize_quad(image).close_to(form, Tolerance(1e-15)), k
+            checked += 1
+        assert checked > 2090
+
+
+def test_near_max_rhombus_is_rescaled_not_rejected():
+    q = quad((-1.7e308, 0.0), (1.7e308, 0.0), (0.0, 1e308), (0.0, -1e308))
+    form = normalize_quad(q)
+    assert form.c.close_to(Point(0.5, 0.29411764705882354), Tolerance(1e-15))
+    assert form.d.close_to(Point(0.5, -0.29411764705882354), Tolerance(1e-15))
+
+
+def test_tiny_spread_at_huge_offset_keeps_its_form():
+    # rescaling by the spread alone would overflow the x coordinates
+    q = quad((1e300, 1e-300), (1e300, 2e-300), (1e300, 3e-300), (1e300, 5e-300))
+    form = normalize_quad(q)
+    assert (form.c.x, form.c.y) == (0.75, 0.0)
+    assert (form.d.x, form.d.y) == (0.4999999999999999, 0.0)
+
+
+def _oracle_quads():
+    h = math.sqrt(3.0) / 2.0
+    specials = (
+        ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)),
+        ((0.0, 0.0), (2.0, 0.0), (2.0, 0.0), (0.0, 0.0)),
+        ((0.0, 0.0), (1.0, 0.0), (0.5, h), (0.5, h / 3.0)),
+        ((0.0, 0.0), (1.0, 0.0), (1.0, 0.0), (3.0, 0.0)),
+        ((0.0, 0.0), (2.0, 0.0), (2.0, 1.0), (0.0, 1.0)),
+        ((0.0, 0.0), (3.0, 1.0), (0.0, 0.0), (1.0, 2.0)),
+    )
+    for coords in specials:
+        for perm in itertools.permutations(coords):
+            yield quad(*perm)
+    rng = random.Random(607)
+    for _ in range(600):
+        yield rand_quad(rng, special_fraction=0.5)
+
+
+def test_normal_form_is_bit_identical_to_the_pointwise_oracle():
+    for q in _oracle_quads():
+        assert repr(normalize_quad(q)) == repr(pointwise_normalize_quad(q)), q
+
+
+def test_normalize_quad_builds_only_the_result_points(monkeypatch):
+    made = []
+
+    class CountingPoint(Point):
+        def __post_init__(self):
+            made.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr(quads, "Point", CountingPoint)
+    h = math.sqrt(3.0) / 2.0
+    cases = (
+        UNIT_SQUARE,
+        quad((0.0, 0.0), (1.0, 0.0), (1.5, h), (0.5, h)),
+        quad((0.0, 0.0), (0.25, 0.0), (1.5, 0.0), (-1.0, 0.0)),
+        quad((0.3, -1.2), (4.1, 0.7), (-2.2, 3.3), (1.9, -2.8)),
+    )
+    for q in cases:
+        made.clear()
+        normalize_quad(q)
+        assert len(made) <= 2
 
 
 def test_doubled_segment_canonical_form():
