@@ -45,20 +45,6 @@ from .triangles import (
 
 
 @dataclass(frozen=True)
-class ShapeInput:
-    """Exactly one populated variant: vertex list, side lengths, or angles."""
-
-    points: tuple[Point, ...] | None = None
-    sides: tuple[float, float, float] | None = None
-    angles: tuple[float, float, float] | None = None
-
-    def arity(self) -> int:
-        if self.points is not None:
-            return len(self.points)
-        return 3
-
-
-@dataclass(frozen=True)
 class ReportRecord:
     """Flat serializable result of one computation; unset fields are None."""
 
@@ -133,40 +119,60 @@ def _emit(records: list[ReportRecord], fmt: str) -> None:
     sys.stdout.write("\n\n".join(blocks) + "\n")
 
 
-def _parse_point(token: str) -> Point:
+# a shape is what the library takes: 3 or 4 vertices, or side lengths
+_Shape = tuple[Point, ...] | SideLengths
+
+
+def _coords(token: str) -> list[float]:
     parts = token.split(",")
     if len(parts) != 2:
         raise ValueError(f"point must be 'x,y', got {token!r}")
-    return Point(float(parts[0]), float(parts[1]))
+    return [float(parts[0]), float(parts[1])]
 
 
-def _shape_from_args(args, prefix: str = "") -> ShapeInput:
-    points = getattr(args, prefix + "points", None)
-    sides = getattr(args, prefix + "sides", None)
-    angles = getattr(args, prefix + "angles", None)
+def _shape(tag: str, numbers: list[float], degrees: bool) -> _Shape:
+    """The shape a 'points', 'sides' or 'angles' record names.
+
+    Angles become side lengths with the longest side 1, the route every
+    triangle record takes from there.
+    """
+    if tag == "points":
+        if len(numbers) not in (6, 8):
+            raise ValueError(f"expected 3 or 4 points, got {len(numbers) / 2:g}")
+        return tuple(map(Point, numbers[::2], numbers[1::2]))
+    if tag not in ("sides", "angles"):
+        raise ValueError(f"unknown record tag {tag!r}")
+    if len(numbers) != 3:
+        raise ValueError(f"record {tag!r} takes 3 numbers, got {len(numbers)}")
+    if tag == "sides":
+        return SideLengths.of(*numbers)
+    if degrees:
+        numbers = [math.radians(v) for v in numbers]
+    return sides_from_angles(AngleTriple(*numbers))
+
+
+def _shape_from_args(args, prefix: str = "") -> _Shape:
+    points = getattr(args, prefix + "points")
     if points is not None:
-        pts = tuple(_parse_point(tok) for tok in points)
-        if len(pts) not in (3, 4):
-            raise ValueError(f"expected 3 or 4 points, got {len(pts)}")
-        return ShapeInput(points=pts)
+        return _shape("points", [v for token in points for v in _coords(token)], args.degrees)
+    sides = getattr(args, prefix + "sides")
     if sides is not None:
-        return ShapeInput(sides=tuple(sides))
-    values = tuple(angles)
-    if args.degrees:
-        values = tuple(math.radians(v) for v in values)
-    return ShapeInput(angles=values)
+        return _shape("sides", sides, args.degrees)
+    return _shape("angles", getattr(args, prefix + "angles"), args.degrees)
 
 
-def _triangle_parts(shape: ShapeInput) -> tuple[Triangle | None, SideLengths, Point]:
-    """The triangle (None for sides or angles), its sides and its c normal point."""
-    if shape.points is not None:
-        t = Triangle.of(*shape.points)
-        return t, side_lengths(t), c_normal_point(t)
-    if shape.sides is not None:
-        s = SideLengths.of(*shape.sides)
-    else:
-        s = sides_from_angles(AngleTriple(*shape.angles))
-    return None, s, normal_point_from_sides(FormKind.C_VERTEX, s)
+def _arity(shape: _Shape) -> int:
+    return 3 if isinstance(shape, SideLengths) else len(shape)
+
+
+def _triangle_parts(shape: _Shape) -> tuple[Triangle | None, SideLengths, Point]:
+    """The triangle (None for side lengths), its sides and its c normal point."""
+    if isinstance(shape, SideLengths):
+        return None, shape, normal_point_from_sides(FormKind.C_VERTEX, shape)
+    if len(shape) != 3:
+        raise ArityMismatch(f"expected a triangle, got {len(shape)} points")
+    t = Triangle(shape)
+    return t, side_lengths(t), c_normal_point(t)
 
 
 def _angles_out(values: tuple[float, float, float], degrees: bool):
@@ -180,11 +186,11 @@ def _point_pair(p: Point) -> tuple[float, float]:
 
 
 def _triangle_record(
-    command: str, shape: ShapeInput, kind: FormKind, tol: Tolerance, degrees: bool
+    command: str, shape: _Shape, kind: FormKind, tol: Tolerance, degrees: bool
 ) -> ReportRecord:
     t, s, pc = _triangle_parts(shape)
     cls = _classify(pc, s, tol)
-    ang = _point_angles(FormKind.C_VERTEX, pc, tol)
+    ang = _point_angles(pc, tol)
     angles = None if ang is DEGENERATE else _angles_out(ang.as_tuple(), degrees)
     if kind is FormKind.CIRCLE:
         if ang is DEGENERATE:
@@ -218,8 +224,8 @@ def _triangle_record(
     )
 
 
-def _quad_record(command: str, shape: ShapeInput, tol: Tolerance) -> ReportRecord:
-    nf = normalize_quad(Quadrilateral.of(*shape.points), tol)
+def _quad_record(command: str, shape: _Shape, tol: Tolerance) -> ReportRecord:
+    nf = normalize_quad(Quadrilateral(shape), tol)
     ok = in_c_domain(nf.c, tol) and in_d_region(nf.d, nf.c, tol)
     return ReportRecord(
         command=command,
@@ -233,38 +239,19 @@ def _kind_from_args(args) -> FormKind:
     return FormKind(args.kind) if args.kind is not None else FormKind.C_VERTEX
 
 
-_BATCH_ARITY = {"sides": (3,), "angles": (3,), "points": (6, 8)}
-
-
-def _batch_shapes(path: str, degrees: bool) -> list[tuple[int, ShapeInput]]:
+def _batch_shapes(path: str, degrees: bool) -> list[tuple[int, _Shape]]:
     shapes = []
     with open(path, encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
+            tag, *rest = line.split()
             try:
-                shapes.append((lineno, _batch_shape(line, degrees)))
+                shapes.append((lineno, _shape(tag, [float(tok) for tok in rest], degrees)))
             except (GeometryError, ValueError) as exc:
                 raise type(exc)(f"line {lineno}: {exc}") from exc
     return shapes
-
-
-def _batch_shape(line: str, degrees: bool) -> ShapeInput:
-    tag, *rest = line.split()
-    if tag not in _BATCH_ARITY:
-        raise ValueError(f"unknown record tag {tag!r}")
-    values = [float(tok) for tok in rest]
-    if len(values) not in _BATCH_ARITY[tag]:
-        raise ValueError(f"record {tag!r} takes {_BATCH_ARITY[tag]} numbers, got {len(values)}")
-    if tag == "sides":
-        return ShapeInput(sides=tuple(values))
-    if tag == "angles":
-        if degrees:
-            values = [math.radians(v) for v in values]
-        return ShapeInput(angles=tuple(values))
-    pts = tuple(Point(values[i], values[i + 1]) for i in range(0, len(values), 2))
-    return ShapeInput(points=pts)
 
 
 def _cmd_normalize(args, tol: Tolerance) -> list[ReportRecord]:
@@ -272,17 +259,16 @@ def _cmd_normalize(args, tol: Tolerance) -> list[ReportRecord]:
         numbered = _batch_shapes(args.batch, args.degrees)
     else:
         numbered = [(0, _shape_from_args(args))]
+    kind = _kind_from_args(args)
     records = []
     for lineno, shape in numbered:
         try:
-            if shape.arity() == 4:
+            if _arity(shape) == 4:
                 if args.kind is not None:
                     raise ArityMismatch("--kind applies to triangles; got 4 points")
                 records.append(_quad_record("normalize", shape, tol))
             else:
-                records.append(
-                    _triangle_record("normalize", shape, _kind_from_args(args), tol, args.degrees)
-                )
+                records.append(_triangle_record("normalize", shape, kind, tol, args.degrees))
         except (GeometryError, ValueError) as exc:
             if lineno == 0:
                 raise
@@ -293,8 +279,6 @@ def _cmd_normalize(args, tol: Tolerance) -> list[ReportRecord]:
 
 def _cmd_classify(args, tol: Tolerance) -> list[ReportRecord]:
     shape = _shape_from_args(args)
-    if shape.arity() != 3:
-        raise ArityMismatch("classify applies to triangles; got 4 points")
     record = _triangle_record("classify", shape, FormKind.C_VERTEX, tol, args.degrees)
     return [
         ReportRecord(
@@ -310,7 +294,7 @@ def _cmd_classify(args, tol: Tolerance) -> list[ReportRecord]:
 def _cmd_convert(args, tol: Tolerance) -> list[ReportRecord]:
     kind = _kind_from_args(args)
     if args.point is not None:
-        p = _parse_point(args.point)
+        p = Point(*_coords(args.point))
         recovered = angles_from_normal_point(kind, p, tol)
         if recovered is DEGENERATE:
             return [
@@ -331,18 +315,17 @@ def _cmd_convert(args, tol: Tolerance) -> list[ReportRecord]:
                 side_ratios=s.ratios(),
             )
         ]
-    shape = _shape_from_args(args)
-    return [_triangle_record("convert", shape, kind, tol, args.degrees)]
+    return [_triangle_record("convert", _shape_from_args(args), kind, tol, args.degrees)]
 
 
 def _cmd_similar(args, tol: Tolerance) -> list[ReportRecord]:
     a = _shape_from_args(args, "a_")
     b = _shape_from_args(args, "b_")
-    if a.arity() != b.arity():
-        raise ArityMismatch(f"cannot compare arity {a.arity()} with arity {b.arity()}")
-    if a.arity() == 4:
-        fa = normalize_quad(Quadrilateral.of(*a.points), tol)
-        fb = normalize_quad(Quadrilateral.of(*b.points), tol)
+    if _arity(a) != _arity(b):
+        raise ArityMismatch(f"cannot compare arity {_arity(a)} with arity {_arity(b)}")
+    if _arity(a) == 4:
+        fa = normalize_quad(Quadrilateral(a), tol)
+        fb = normalize_quad(Quadrilateral(b), tol)
         verdict = fa.close_to(fb, tol)
         key_a = _point_pair(fa.c) + _point_pair(fa.d)
         key_b = _point_pair(fb.c) + _point_pair(fb.d)
@@ -359,7 +342,7 @@ def _cmd_similar(args, tol: Tolerance) -> list[ReportRecord]:
 
 def _cmd_quad_normalize(args, tol: Tolerance) -> list[ReportRecord]:
     shape = _shape_from_args(args)
-    if shape.arity() != 4:
+    if _arity(shape) != 4:
         raise ArityMismatch("quad-normalize needs exactly 4 points")
     return [_quad_record("quad-normalize", shape, tol)]
 
@@ -390,10 +373,7 @@ def _cmd_domains(args, tol: Tolerance) -> list[ReportRecord]:
 
 def _cmd_plot(args, tol: Tolerance) -> list[ReportRecord]:
     kind = _kind_from_args(args)
-    shape = _shape_from_args(args)
-    if shape.arity() != 3:
-        raise ArityMismatch("plot applies to triangles; got 4 points")
-    record = _triangle_record("plot", shape, kind, tol, args.degrees)
+    record = _triangle_record("plot", _shape_from_args(args), kind, tol, args.degrees)
     fig = domain_figure(kind)
     if kind is FormKind.CIRCLE:
         verts = tuple(Point(x, y) for x, y in record.circle_vertices)
@@ -414,22 +394,15 @@ def _cmd_plot(args, tol: Tolerance) -> list[ReportRecord]:
     ]
 
 
-def _add_shape_flags(parser: argparse.ArgumentParser, batch: bool = False) -> None:
+def _add_shape_flags(parser: argparse.ArgumentParser, prefix: str = ""):
+    """The required group of shape flags, named --{prefix}points and so on."""
     group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument("--points", nargs="+", metavar="X,Y", help="3 or 4 vertices")
-    group.add_argument("--sides", nargs=3, type=float, metavar="L", help="3 side lengths")
-    group.add_argument("--angles", nargs=3, type=float, metavar="A", help="3 interior angles")
-    if batch:
-        group.add_argument("--batch", metavar="FILE", help="file of 'tag numbers...' records")
-    else:
-        parser.set_defaults(batch=None)
-
-
-def _add_pair_flags(parser: argparse.ArgumentParser, prefix: str) -> None:
-    group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument(f"--{prefix}-points", nargs="+", metavar="X,Y")
-    group.add_argument(f"--{prefix}-sides", nargs=3, type=float, metavar="L")
-    group.add_argument(f"--{prefix}-angles", nargs=3, type=float, metavar="A")
+    group.add_argument(f"--{prefix}points", nargs="+", metavar="X,Y", help="3 or 4 vertices")
+    group.add_argument(f"--{prefix}sides", nargs=3, type=float, metavar="L", help="3 side lengths")
+    group.add_argument(
+        f"--{prefix}angles", nargs=3, type=float, metavar="A", help="3 interior angles"
+    )
+    return group
 
 
 class _Parser(argparse.ArgumentParser):
@@ -463,7 +436,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("normalize", parents=[common], help="compute a normal form")
-    _add_shape_flags(p, batch=True)
+    group = _add_shape_flags(p)
+    group.add_argument("--batch", metavar="FILE", help="file of 'tag numbers...' records")
     p.add_argument("--kind", choices=("a", "b", "c", "circle"), default=None)
     p.set_defaults(func=_cmd_normalize)
 
@@ -472,17 +446,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("convert", parents=[common], help="convert between representations")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--points", nargs="+", metavar="X,Y")
-    group.add_argument("--sides", nargs=3, type=float, metavar="L")
-    group.add_argument("--angles", nargs=3, type=float, metavar="A")
-    group.add_argument("--point", metavar="X,Y", help="normal point to invert")
+    _add_shape_flags(p).add_argument("--point", metavar="X,Y", help="normal point to invert")
     p.add_argument("--kind", choices=("a", "b", "c", "circle"), default=None)
-    p.set_defaults(func=_cmd_convert, batch=None)
+    p.set_defaults(func=_cmd_convert)
 
     p = sub.add_parser("similar", parents=[common], help="decide similarity of two shapes")
-    _add_pair_flags(p, "a")
-    _add_pair_flags(p, "b")
+    _add_shape_flags(p, "a-")
+    _add_shape_flags(p, "b-")
     p.set_defaults(func=_cmd_similar)
 
     p = sub.add_parser("quad-normalize", parents=[common], help="quadrilateral normal form")

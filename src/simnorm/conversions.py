@@ -12,10 +12,11 @@ reach their angles through the longest-side normal point.
 from __future__ import annotations
 
 import math
+import sys
 
 from .errors import DegenerateAngles, InvalidSides, OutOfDomain, UnboundedType
 from .geometry import DEFAULT_TOL, Point, Tolerance
-from .triangles import AngleTriple, FormKind, SideLengths, in_domain
+from .triangles import AngleTriple, FormKind, SideLengths, _rank, in_domain
 
 # radicand values in [-RADICAND_CLAMP * (a+b+c)^4, 0] are treated as exact
 # degeneracy and clamped to zero; anything more negative is a real error
@@ -45,68 +46,53 @@ def _radicand(a: float, b: float, c: float) -> float:
 def normal_point_from_sides(kind: FormKind, s: SideLengths) -> Point:
     """Closed-form normal point for any one-vertex form.
 
-    The square root of the radicand equals four times the triangle area, so
-    the second coordinate vanishes exactly on degenerate triples.  The sides
-    are first rescaled by an exact power of two that brings c into [1/2, 1),
-    so no square overflows and the result is the same at every scale.
+    With u the anchored side and d1 <= d0 the free ones, the point is
+    ((u^2 + (d0 - d1)(d0 + d1)) / (2u^2), sqrt(radicand) / (2u^2)); the
+    factored difference keeps x accurate on needles, and the root, four
+    times the area, vanishes exactly on degenerate triples.  The sides are
+    first rescaled by an exact power of two that brings c into [1/2, 1), so
+    no square overflows and the result is the same at every scale.  The
+    shortest-side form raises UnboundedType once a/c falls below about
+    2**-511 (1.5e-154), where 2a^2 underflows the normal float range.
     """
+    rank = _rank(kind)
     k = -math.frexp(s.c)[1]
-    a, b, c = math.ldexp(s.a, k), math.ldexp(s.b, k), math.ldexp(s.c, k)
-    r = _radicand(a, b, c)
+    sides = (math.ldexp(s.a, k), math.ldexp(s.b, k), math.ldexp(s.c, k))
+    r = _radicand(*sides)
     if r < 0.0:
-        if r < -_RADICAND_CLAMP * (a + b + c) ** 4:
+        if r < -_RADICAND_CLAMP * sum(sides) ** 4:
             raise InvalidSides(f"triangle inequality fails for sides {(s.a, s.b, s.c)!r}")
         r = 0.0
-    root = math.sqrt(r)
-    if kind is FormKind.C_VERTEX:
-        den = 2.0 * c * c
-        return Point((-a * a + b * b + c * c) / den, root / den)
-    if kind is FormKind.B_VERTEX:
-        den = 2.0 * b * b
-        return Point((-a * a + b * b + c * c) / den, root / den)
-    if kind is FormKind.A_VERTEX:
-        if a == 0.0:
-            raise UnboundedType("side lengths (0, c, c) have no finite shortest-side form")
-        den = 2.0 * a * a
-        return Point((a * a - b * b + c * c) / den, root / den)
-    raise ValueError("the circle form has no single normal point")
+    u = sides[rank]
+    d1, d0 = sides[:rank] + sides[rank + 1 :]
+    den = 2.0 * u * u
+    if den < sys.float_info.min:
+        raise UnboundedType(f"sides {(s.a, s.b, s.c)!r} have no finite shortest-side form")
+    return Point((u * u + (d0 - d1) * (d0 + d1)) / den, math.sqrt(r) / den)
 
 
 def sides_from_angles(angles: AngleTriple, kind: FormKind = FormKind.C_VERTEX) -> SideLengths:
     """Side lengths by the law of sines, scaled so the kind's own side is 1."""
-    alpha, beta, gamma = angles.as_tuple()
-    sin_a = math.sin(alpha)
-    sin_b = math.sin(beta)
-    sin_g = math.sin(gamma)
-    if kind is FormKind.C_VERTEX:
-        return SideLengths.of(sin_a / sin_g, sin_b / sin_g, 1.0)
-    if kind is FormKind.B_VERTEX:
-        return SideLengths.of(sin_a / sin_b, 1.0, sin_g / sin_b)
-    if kind is FormKind.A_VERTEX:
-        if sin_a <= 0.0:
-            raise DegenerateAngles("smallest angle must be positive for the shortest-side form")
-        return SideLengths.of(1.0, sin_b / sin_a, sin_g / sin_a)
-    raise ValueError("the circle form is built from angles directly")
+    sines = [math.sin(v) for v in angles.as_tuple()]
+    unit = sines[_rank(kind)]
+    return SideLengths.of(*(v / unit for v in sines))
 
 
 def normal_point_from_angles(kind: FormKind, angles: AngleTriple) -> Point:
     """Normal point of the triangle with the given interior angles.
 
     In every one-vertex form the normal point sits at a polar angle equal
-    to the interior angle at the origin anchor, at the radius the law of
-    sines gives for the opposite side pair.  Evaluating that product
-    directly avoids squared side lengths, whose rounding would dominate for
-    needle shaped triples where two sides dwarf the third.
+    to the smaller of the two angles at the ends of the anchored side, at
+    the radius the law of sines gives for the longer free side over the
+    anchored one: sin(larger of the two) / sin(angle opposite the anchored
+    side).  Evaluating that product directly avoids squared side lengths,
+    whose rounding would dominate for needle shaped triples where two sides
+    dwarf the third.
     """
-    alpha, beta, gamma = angles.as_tuple()
-    if kind is FormKind.C_VERTEX:
-        radius, theta = math.sin(beta) / math.sin(gamma), alpha
-    elif kind is FormKind.B_VERTEX:
-        radius, theta = math.sin(gamma) / math.sin(beta), alpha
-    elif kind is FormKind.A_VERTEX:
-        radius, theta = math.sin(gamma) / math.sin(alpha), beta
-    else:
-        raise ValueError("the circle form has no single normal point")
+    rank = _rank(kind)
+    values = angles.as_tuple()
+    theta, larger = values[:rank] + values[rank + 1 :]
+    radius = math.sin(larger) / math.sin(values[rank])
     return Point(radius * math.cos(theta), radius * math.sin(theta))
 
 
@@ -122,34 +108,22 @@ def angles_from_normal_point(
     """
     if not in_domain(kind, p, tol):
         raise OutOfDomain(f"{p} is outside the region of the {kind.value!r} form")
-    return _point_angles(kind, p, tol)
+    return _point_angles(p, tol)
 
 
-def _point_angles(kind: FormKind, p: Point, tol: Tolerance) -> AngleTriple | _DegenerateMarker:
+def _point_angles(p: Point, tol: Tolerance) -> AngleTriple | _DegenerateMarker:
     """angles_from_normal_point without the region check.
 
     For normal points computed by this package: rounding can leave them a
-    few ulps outside their region, which an eps below 1e-16 detects.
+    few ulps outside their region, which an eps below 1e-16 detects.  The
+    angles at both anchors and their complement to pi, sorted by
+    AngleTriple, are the same for every form.
     """
     if abs(p.y) <= tol.eps:
         return DEGENERATE
     at_origin = math.atan2(p.y, p.x)
-    from_unit = math.pi - math.atan2(p.y, p.x - 1.0)
-    if kind is FormKind.C_VERTEX:
-        alpha = at_origin
-        beta = math.atan2(p.y, 1.0 - p.x)
-        gamma = math.pi - alpha - beta
-    elif kind is FormKind.B_VERTEX:
-        alpha = at_origin
-        gamma = from_unit
-        beta = math.pi - alpha - gamma
-    elif kind is FormKind.A_VERTEX:
-        beta = at_origin
-        gamma = from_unit
-        alpha = math.pi - beta - gamma
-    else:
-        raise ValueError("the circle form has no point domain")
-    return AngleTriple(alpha, beta, gamma)
+    at_unit = math.atan2(p.y, 1.0 - p.x)
+    return AngleTriple(at_origin, at_unit, math.pi - at_origin - at_unit)
 
 
 def angles_from_sides(s: SideLengths, tol: Tolerance = DEFAULT_TOL) -> AngleTriple:
@@ -159,7 +133,7 @@ def angles_from_sides(s: SideLengths, tol: Tolerance = DEFAULT_TOL) -> AngleTrip
     x-axis are degenerate, as classify judges them, and raise
     DegenerateAngles since no valid angle triple exists for them.
     """
-    angles = _point_angles(FormKind.C_VERTEX, normal_point_from_sides(FormKind.C_VERTEX, s), tol)
+    angles = _point_angles(normal_point_from_sides(FormKind.C_VERTEX, s), tol)
     if angles is DEGENERATE:
         raise DegenerateAngles(f"sides {(s.a, s.b, s.c)!r} describe a degenerate triangle")
     return angles

@@ -162,6 +162,27 @@ def similarity_from_segment(
     )
 
 
+# Shapes whose largest pairwise distance lies outside [_TINY, _HUGE] are
+# first brought near unit size by an exact power of two.  Above _TINY, every
+# coordinate difference that matters at 53-bit precision relative to the
+# extreme pair is a normal float; below _HUGE, no difference, distance or sum
+# inside the complex division can overflow.
+_TINY = 2.0**-969
+_HUGE = 2.0**960
+
+
+def _rescaled(xs: list[float], ys: list[float], d_max: float) -> tuple[list[float], list[float]]:
+    """The coordinates times the power of two that brings d_max into [1/2, 1).
+
+    The exponent comes from the largest coordinate instead when d_max
+    overflowed, and is capped so that scaling up overflows no coordinate.
+    Scaling by a power of two is exact (J. L. Blue, ACM TOMS 4(1), 1978).
+    """
+    top = math.frexp(max(map(abs, xs + ys)))[1]
+    k = -top if math.isinf(d_max) else min(-math.frexp(d_max)[1], 1024 - top)
+    return [math.ldexp(x, k) for x in xs], [math.ldexp(y, k) for y in ys]
+
+
 def lex_less(p: Point, q: Point) -> bool:
     """Strict lexicographic order: first coordinates, then second. Exact."""
     return p.x < q.x or (p.x == q.x and p.y < q.y)

@@ -21,8 +21,11 @@ from .geometry import (
     DEFAULT_TOL,
     ORIGIN,
     UNIT_X,
+    _HUGE,
+    _TINY,
     Point,
     Tolerance,
+    _rescaled,
     quasilex_eq,
 )
 
@@ -74,9 +77,9 @@ def in_d_region(p: Point, c: Point, tol: Tolerance = DEFAULT_TOL) -> bool:
     e = tol.eps
     if p.x * p.x + p.y * p.y > 1.0 + e:
         return False
-    if (p.x - 1.0) ** 2 + p.y * p.y > 1.0 + e:
+    if (p.x - 1.0) * (p.x - 1.0) + p.y * p.y > 1.0 + e:
         return False
-    if (p.x - c.x) ** 2 + (p.y - c.y) ** 2 > 1.0 + e:
+    if (p.x - c.x) * (p.x - c.x) + (p.y - c.y) * (p.y - c.y) > 1.0 + e:
         return False
     fold_p = abs(p.x - 0.5)
     fold_c = abs(c.x - 0.5)
@@ -133,29 +136,8 @@ def _key_cmp(a: tuple[float, ...], b: tuple[float, ...], e: float) -> int:
     return 0
 
 
-# Largest pairwise distances outside [_TINY, _HUGE] are first brought near 1
-# by an exact power of two.  Above _TINY, every coordinate difference that
-# matters at 53-bit precision relative to the extreme pair is a normal float;
-# below _HUGE, no difference, distance or sum inside the complex division
-# can overflow.
-_TINY = 2.0**-969
-_HUGE = 2.0**960
-
-
 def _pair_distances(xs: list[float], ys: list[float]) -> list[float]:
     return [math.hypot(xs[j] - xs[i], ys[j] - ys[i]) for i, j, _, _ in _PAIR_SPLITS]
-
-
-def _rescaled(xs: list[float], ys: list[float], d_max: float) -> tuple[list[float], list[float]]:
-    """The coordinates times the power of two that brings d_max into [1/2, 1).
-
-    The exponent comes from the largest coordinate instead when d_max
-    overflowed, and is capped so that scaling up overflows no coordinate.
-    Scaling by a power of two is exact (J. L. Blue, ACM TOMS 4(1), 1978).
-    """
-    top = math.frexp(max(map(abs, xs + ys)))[1]
-    k = -top if math.isinf(d_max) else min(-math.frexp(d_max)[1], 1024 - top)
-    return [math.ldexp(x, k) for x in xs], [math.ldexp(y, k) for y in ys]
 
 
 def normalize_quad(q: Quadrilateral, tol: Tolerance = DEFAULT_TOL) -> QuadNormalForm:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DegenerateAngles, InvalidSides, UnboundedType
-from .geometry import DEFAULT_TOL, ORIGIN, Point, Tolerance, distance
+from .geometry import DEFAULT_TOL, ORIGIN, _HUGE, _TINY, Point, Tolerance, _rescaled, distance
 
 _EQUILATERAL_POINT = Point(0.5, math.sqrt(3.0) / 2.0)
 
@@ -31,6 +31,19 @@ class FormKind(Enum):
     B_VERTEX = "b"
     C_VERTEX = "c"
     CIRCLE = "circle"
+
+
+# the side each one-vertex form sends to the unit segment, by rank among the
+# sorted sides: 0 shortest, 1 median, 2 longest
+_RANKS = {FormKind.A_VERTEX: 0, FormKind.B_VERTEX: 1, FormKind.C_VERTEX: 2}
+
+
+def _rank(kind: FormKind) -> int:
+    """The anchored side rank of a one-vertex form."""
+    rank = _RANKS.get(kind)
+    if rank is None:
+        raise ValueError("the circle form has no single normal point; use circle_normal_form")
+    return rank
 
 
 class AngleClass(Enum):
@@ -154,14 +167,27 @@ def triangle_from_sides(s: SideLengths) -> Triangle:
     return Triangle((ORIGIN, Point(s.c, 0.0), Point(s.c * p.x, s.c * p.y)))
 
 
-def _sorted_side_pairs(t: Triangle) -> list[tuple[float, tuple[int, int]]]:
+def _sorted_side_pairs(
+    t: Triangle,
+) -> tuple[list[tuple[float, tuple[int, int]]], tuple[Point, Point, Point]]:
+    """Side lengths with their endpoint indexes, shortest first, and the vertices.
+
+    When the longest side lies outside [2**-969, 2**960], the vertices are
+    first rescaled by one exact power of two, and both the lengths and the
+    vertices returned are those of the rescaled copy.
+    """
     v = t.vertices
     pairs = [(distance(v[i], v[j]), (i, j)) for i, j in _PAIR_INDEXES]
     pairs.sort()
-    return pairs
+    if not _TINY <= pairs[2][0] <= _HUGE:
+        xs, ys = _rescaled([p.x for p in v], [p.y for p in v], pairs[2][0])
+        v = tuple(map(Point, xs, ys))
+        pairs = [(distance(v[i], v[j]), (i, j)) for i, j in _PAIR_INDEXES]
+        pairs.sort()
+    return pairs, v
 
 
-def _one_vertex_point(t: Triangle, rank: int) -> Point:
+def _one_vertex_point(t: Triangle, rank: int, tol: Tolerance = DEFAULT_TOL) -> Point:
     """Closed-form placement behind the three one-vertex forms.
 
     The side of the requested rank (0 shortest, 2 longest) runs from vertex
@@ -169,11 +195,13 @@ def _one_vertex_point(t: Triangle, rank: int) -> Point:
     remaining vertex k to w = (z_k - z_i) / (z_j - z_i).  Folding y to |y|
     reflects across the x-axis, and folding x to max(x, 1 - x) reflects
     across x = 1/2, which swaps the two anchor vertices and so makes the
-    endpoint order immaterial.  Complex division scales its operands
-    internally, so tiny and huge inputs place as well as unit-scale ones.
+    endpoint order immaterial.  Triangles far from unit size are placed on
+    an exactly rescaled copy, so every finite scale gives the same point.
     """
-    _, (i, j) = _sorted_side_pairs(t)[rank]
-    v = t.vertices
+    pairs, v = _sorted_side_pairs(t)
+    if rank == 0 and pairs[0][0] <= tol.eps * pairs[2][0]:
+        raise UnboundedType("side lengths of type (0, c, c) have no finite shortest-side form")
+    _, (i, j) = pairs[rank]
     free = v[3 - i - j]
     zi = complex(v[i].x, v[i].y)
     w = (complex(free.x, free.y) - zi) / (complex(v[j].x, v[j].y) - zi)
@@ -208,21 +236,12 @@ def a_normal_point(t: Triangle, tol: Tolerance = DEFAULT_TOL) -> Point:
     side cannot be dilated to unit length.  Such triangles (shortest side
     within tol.eps of zero, relative to the longest) raise UnboundedType.
     """
-    pairs = _sorted_side_pairs(t)
-    if pairs[0][0] <= tol.eps * pairs[2][0]:
-        raise UnboundedType("side lengths of type (0, c, c) have no finite shortest-side form")
-    return _one_vertex_point(t, 0)
+    return _one_vertex_point(t, 0, tol)
 
 
 def normal_point(kind: FormKind, t: Triangle, tol: Tolerance = DEFAULT_TOL) -> Point:
-    """Dispatch to the one-vertex normal point for the given kind."""
-    if kind is FormKind.C_VERTEX:
-        return c_normal_point(t)
-    if kind is FormKind.B_VERTEX:
-        return b_normal_point(t)
-    if kind is FormKind.A_VERTEX:
-        return a_normal_point(t, tol)
-    raise ValueError("the circle form has no single normal point; use circle_normal_form")
+    """The one-vertex normal point for the given kind."""
+    return _one_vertex_point(t, _rank(kind), tol)
 
 
 def in_c_domain(p: Point, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -238,24 +257,19 @@ def in_b_domain(p: Point, tol: Tolerance = DEFAULT_TOL) -> bool:
         p.y >= -e
         and p.x >= 0.5 - e
         and p.x * p.x + p.y * p.y >= 1.0 - e
-        and (p.x - 1.0) ** 2 + p.y * p.y <= 1.0 + e
+        and (p.x - 1.0) * (p.x - 1.0) + p.y * p.y <= 1.0 + e
     )
 
 
 def in_a_domain(p: Point, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Membership in the (unbounded) shortest-side region."""
     e = tol.eps
-    return p.y >= -e and p.x >= 0.5 - e and (p.x - 1.0) ** 2 + p.y * p.y >= 1.0 - e
+    return p.y >= -e and p.x >= 0.5 - e and (p.x - 1.0) * (p.x - 1.0) + p.y * p.y >= 1.0 - e
 
 
 def in_domain(kind: FormKind, p: Point, tol: Tolerance = DEFAULT_TOL) -> bool:
-    if kind is FormKind.C_VERTEX:
-        return in_c_domain(p, tol)
-    if kind is FormKind.B_VERTEX:
-        return in_b_domain(p, tol)
-    if kind is FormKind.A_VERTEX:
-        return in_a_domain(p, tol)
-    raise ValueError("the circle form has no point domain")
+    """Membership in the region of the given one-vertex form."""
+    return (in_a_domain, in_b_domain, in_c_domain)[_rank(kind)](p, tol)
 
 
 def circle_normal_form(angles: AngleTriple) -> Triangle:

@@ -68,6 +68,22 @@ def exact_c_height(a: float, b: float, c: float) -> float:
         return float(_decimal_sqrt(_exact_radicand(a, b, c)) / (2 * Decimal(c) ** 2))
 
 
+def exact_normal_x(a: float, b: float, c: float, rank: int) -> float:
+    """First coordinate of the one-vertex normal point anchoring the side of this rank.
+
+    With u the anchored side and d1 <= d0 the free ones of sorted sides
+    a <= b <= c, it is (u^2 + d0^2 - d1^2) / (2 u^2), here evaluated exactly
+    and rounded once.
+    """
+    # integers over the common power-of-two denominator, which cancels
+    ratios = [v.as_integer_ratio() for v in (a, b, c)]
+    den = max(q for _, q in ratios)
+    sides = [n * (den // q) for n, q in ratios]
+    u = sides.pop(rank)
+    d1, d0 = sides
+    return float(Fraction(u * u + d0 * d0 - d1 * d1, 2 * u * u))
+
+
 def exact_smallest_angle(a: float, b: float, c: float) -> float:
     """Angle opposite the shortest side a of sorted sides a <= b <= c.
 

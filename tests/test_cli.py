@@ -2,6 +2,8 @@
 
 import json
 import math
+import random
+import re
 import subprocess
 import sys
 
@@ -110,6 +112,18 @@ def test_normalize_needle_record_is_consistent(capsys):
     assert rec["angles"][0] == pytest.approx(1e-8, rel=1e-12)
 
 
+def test_normalize_needle_shortest_side_form(capsys):
+    (rec,) = run_json(capsys, "normalize", "--sides", "1e-6", "1", "1", "--kind", "a")
+    assert rec["normal_point"][0] == 0.5
+    assert rec["in_domain"] is True
+
+
+def test_subnormal_right_triangle_record(capsys):
+    (rec,) = run_json(capsys, "normalize", "--points", "0,0", "4e-323,0", "4e-323,3e-323")
+    assert rec["normal_point"] == pytest.approx([0.64, 0.48], abs=1e-15)
+    assert rec["angle_class"] == "right"
+
+
 def test_degrees_flag_converts_both_ways(capsys):
     (rec,) = run_json(capsys, "normalize", "--angles", "60", "60", "60", "--degrees")
     assert rec["angles"] == pytest.approx([60.0, 60.0, 60.0])
@@ -155,6 +169,21 @@ def test_convert_out_of_domain_point(capsys):
     code, _, err = run(capsys, "convert", "--point", "3,3", "--kind", "c")
     assert code == 3
     assert "error: OutOfDomain" in err
+
+
+def test_convert_far_points_get_a_verdict(capsys):
+    code, _, err = run(capsys, "convert", "--point", "1e200,1e308", "--kind", "a")
+    assert code == 3
+    assert "error: DegenerateAngles" in err
+    code, _, err = run(capsys, "convert", "--point", "1e308,0.5", "--kind", "b")
+    assert code == 3
+    assert "error: OutOfDomain" in err
+
+
+def test_convert_rejects_quads(capsys):
+    code, _, err = run(capsys, "convert", "--points", "0,0", "1,0", "1,1", "0,1")
+    assert code == 3
+    assert "error: ArityMismatch" in err
 
 
 def test_convert_point_with_negative_x_parses(capsys):
@@ -221,6 +250,13 @@ def test_unbounded_type_exit_code(capsys):
     assert "error: UnboundedType" in err
 
 
+def test_shortest_side_form_beyond_float_range_exit_code(capsys):
+    for sides in (("1e-200", "4", "4"), ("1e200", "1e200", "180")):
+        code, _, err = run(capsys, "normalize", "--sides", *sides, "--kind", "a")
+        assert code == 3
+        assert "error: UnboundedType" in err
+
+
 def test_bad_point_token_exit_code(capsys):
     code, _, err = run(capsys, "normalize", "--points", "0", "1", "2")
     assert code == 2
@@ -254,6 +290,62 @@ def test_argparse_errors_exit_code(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert main(["normalize", "--help"]) == 0
+
+
+_FUZZ_NUMBERS = (
+    "0", "1", "-1", "2", "0.5", "1e-8", "1e-200", "5e-324", "1e200", "1.7e308",
+    "inf", "nan", "60", "90", "180",
+)
+_ERROR_LINE = re.compile(r"^error: [A-Za-z]+: ", re.MULTILINE)
+
+
+def _fuzz_shape(rng, prefix, arity):
+    """Shape flags that argparse accepts, with values drawn to stress the library."""
+    flag = rng.choice(("points", "sides", "angles"))
+    if flag == "points":
+        tokens = []
+        for _ in range(arity or rng.choice((3, 4))):
+            if rng.random() < 0.05:
+                tokens.append(rng.choice(("x,1", "1", "1,2,3")))
+            else:
+                tokens.append(f"{rng.choice(_FUZZ_NUMBERS)},{rng.choice(_FUZZ_NUMBERS)}")
+        return [f"--{prefix}points", *tokens]
+    # equal values are common so that valid needles and isosceles triples turn up
+    pool = rng.sample(_FUZZ_NUMBERS, 3)
+    return [f"--{prefix}{flag}", *(rng.choice(pool) for _ in range(3))]
+
+
+def _fuzz_argv(rng):
+    command = rng.choice(("normalize", "classify", "convert", "similar", "quad-normalize"))
+    if command == "similar":
+        arity = rng.choice((None, 3, 4))
+        argv = [command, *_fuzz_shape(rng, "a-", arity), *_fuzz_shape(rng, "b-", arity)]
+    elif command == "convert" and rng.random() < 0.3:
+        argv = [command, "--point", f"{rng.choice(_FUZZ_NUMBERS)},{rng.choice(_FUZZ_NUMBERS)}"]
+    else:
+        argv = [command, *_fuzz_shape(rng, "", 4 if command == "quad-normalize" else None)]
+    if command in ("normalize", "convert") and rng.random() < 0.5:
+        argv += ["--kind", rng.choice(("a", "b", "c", "circle"))]
+    if rng.random() < 0.3:
+        argv.append("--degrees")
+    if rng.random() < 0.2:
+        argv += ["--eps", rng.choice(_FUZZ_NUMBERS)]
+    return argv
+
+
+def test_fuzzed_command_lines_end_in_a_record_or_an_error_line(capsys):
+    rng = random.Random(811)
+    codes = set()
+    for _ in range(1000):
+        argv = _fuzz_argv(rng)
+        code, out, err = run(capsys, *argv)
+        assert code in (0, 2, 3), argv
+        if code == 0:
+            assert out and not err, argv
+        else:
+            assert _ERROR_LINE.search(err), (argv, err)
+        codes.add(code)
+    assert codes == {0, 2, 3}
 
 
 # batch mode

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from helpers import near_boundary_angles, rand_angles, rand_thick_triangle
-from oracles import exact_c_height, exact_smallest_angle
+from oracles import exact_c_height, exact_normal_x, exact_smallest_angle
 from simnorm import (
     DEGENERATE,
     AngleTriple,
@@ -63,6 +63,31 @@ def test_degenerate_sides_give_exact_axis_points():
     p = normal_point_from_sides(FormKind.C_VERTEX, flat)
     assert p.y == 0.0
     assert p.x == pytest.approx(2.0 / 3.0, abs=1e-15)
+
+
+def test_needles_keep_x_in_every_form():
+    # the shortest-side x used to cancel in a^2 - b^2 + c^2 (relative error
+    # 2.1e-5 on this sample); the factored difference of squares keeps it
+    rng = random.Random(509)
+    for _ in range(20_000):
+        a = 10.0 ** rng.uniform(-8.0, -1.0)
+        s = SideLengths(a, 1.0, 1.0 + a * rng.uniform(0.0, 0.99))
+        for rank, kind in enumerate((FormKind.A_VERTEX, FormKind.B_VERTEX, FormKind.C_VERTEX)):
+            want = exact_normal_x(s.a, s.b, s.c, rank)
+            got = normal_point_from_sides(kind, s).x
+            assert abs(got - want) <= 1e-15 * want, (s, kind)
+
+
+def test_shortest_side_form_stops_where_its_square_underflows():
+    for sides in ((1e-200, 4.0, 4.0), (180.0, 1e200, 1e200), (5e-324, 1.0, 1.0)):
+        with pytest.raises(UnboundedType):
+            normal_point_from_sides(FormKind.A_VERTEX, SideLengths.of(*sides))
+    # just above the threshold the form is still computed, and accurately
+    a = math.ldexp(1.0, -510)
+    s = SideLengths.of(a, 1.0, 1.0)
+    p = normal_point_from_sides(FormKind.A_VERTEX, s)
+    assert p.x == 0.5
+    assert p.y == pytest.approx(1.0 / a, rel=1e-15)
 
 
 def test_circle_kind_has_no_point():

@@ -73,6 +73,12 @@ def test_d_region_examples():
     assert not in_d_region(Point(0.5, -0.95), Point(0.5, 0.95))
 
 
+def test_d_region_gives_a_verdict_far_out():
+    # squared distances overflow to inf instead of raising OverflowError
+    assert not in_d_region(Point(0.5, 0.0), Point(1e200, 0.0))
+    assert not in_d_region(Point(1e200, 1e200), Point(0.5, 0.5))
+
+
 def test_d_region_contains_its_own_c_across_the_domain():
     for i in range(21):
         for j in range(21):

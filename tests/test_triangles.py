@@ -162,6 +162,13 @@ def test_normal_points_lie_in_their_regions():
             assert p.x >= 0.5 - 1e-12
 
 
+def test_domains_give_a_verdict_far_out():
+    # squared distances overflow to inf instead of raising OverflowError
+    assert in_a_domain(Point(1e200, 1e308))
+    assert not in_b_domain(Point(1e308, 0.5))
+    assert not in_c_domain(Point(1e308, 0.5))
+
+
 def test_degenerate_triangles_map_to_the_axis():
     rng = random.Random(402)
     for _ in range(60):
@@ -228,6 +235,41 @@ def test_extreme_scales_share_the_unit_scale_form():
     for _ in range(50):
         t = rand_thick_triangle(rng)
         assert triangles_similar(t, Triangle.of(*(Point(1e-10 * v.x, 1e-10 * v.y) for v in t.vertices)))
+
+
+def test_dyadic_triangles_keep_their_form_at_every_power_of_two_scale():
+    # the first is the 3-4-5 triangle, whose copy at 4e-323 used to place on
+    # subnormal operands and land at (0.666..., 0.5)
+    right = tri((0.0, 0.0), (4.0, 0.0), (4.0, 3.0))
+    obtuse = tri((0.0, 0.0), (4.0, 0.0), (5.0, 2.0))
+    needle = tri((0.0, 0.0), (64.0, 0.0), (32.0, 1.0))
+    for t in (right, obtuse, needle):
+        forms = [fn(t) for fn in (c_normal_point, b_normal_point, a_normal_point)]
+        coords = [c for v in t.vertices for c in (v.x, v.y)]
+        checked = 0
+        for k in range(-1074, 1024):
+            # only scales where every coordinate stays finite and exact
+            try:
+                scaled = [math.ldexp(c, k) for c in coords]
+            except OverflowError:
+                continue
+            if any(math.ldexp(c, -k) != o for c, o in zip(scaled, coords)):
+                continue
+            image = tri(*zip(scaled[::2], scaled[1::2]))
+            for fn, form in zip((c_normal_point, b_normal_point, a_normal_point), forms):
+                assert fn(image).close_to(form, Tolerance(1e-15)), (k, fn.__name__)
+            checked += 1
+        assert checked > 2080
+
+
+def test_near_max_triangle_is_rescaled_not_rejected():
+    # all three side lengths overflow to inf
+    t = tri((-1.7e308, 0.0), (1.7e308, 0.0), (0.0, 1e308))
+    assert c_normal_point(t).close_to(Point(0.5, 0.29411764705882354), Tolerance(1e-15))
+    unit = tri((-1.7, 0.0), (1.7, 0.0), (0.0, 1.0))
+    for fn in (b_normal_point, a_normal_point):
+        assert fn(t).close_to(fn(unit), Tolerance(1e-15))
+    assert triangles_similar(t, unit)
 
 
 def test_triangle_from_sides_roundtrip():
