@@ -26,7 +26,6 @@ from .conversions import (
     sides_from_angles,
 )
 from .errors import ArityMismatch, DegenerateAngles, GeometryError, InvalidSides
-from .figures import domain_figure, render_svg, with_point, with_triangle
 from .geometry import Point, Tolerance
 from .quads import Quadrilateral, in_d_region, normalize_quad
 from .triangles import (
@@ -34,13 +33,12 @@ from .triangles import (
     FormKind,
     SideLengths,
     Triangle,
+    _c_point_and_sides,
     _classify,
-    c_normal_point,
     circle_normal_form,
     in_c_domain,
     in_domain,
     normal_point,
-    side_lengths,
 )
 
 
@@ -66,23 +64,13 @@ class ReportRecord:
     outputs: tuple[str, ...] | None = None
 
     def to_dict(self) -> dict:
-        out: dict = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value is not None:
-                out[f.name] = _jsonable(value)
-        return out
+        """The set fields; tuples stay tuples, which json writes as arrays."""
+        return {k: v for k, v in self.__dict__.items() if v is not None}
 
     @classmethod
     def from_dict(cls, data: dict) -> ReportRecord:
         kwargs = {f.name: _tupled(data[f.name]) for f in fields(cls) if f.name in data}
         return cls(**kwargs)
-
-
-def _jsonable(value):
-    if isinstance(value, tuple):
-        return [_jsonable(v) for v in value]
-    return value
 
 
 def _tupled(value):
@@ -103,10 +91,14 @@ def _format_value(value) -> str:
     return str(value)
 
 
+# one encoder for every record; json.dumps would build one per call
+_encode_json = json.JSONEncoder(sort_keys=True).encode
+
+
 def _emit(records: list[ReportRecord], fmt: str) -> None:
     if fmt == "structured":
         for rec in records:
-            sys.stdout.write(json.dumps(rec.to_dict(), sort_keys=True) + "\n")
+            sys.stdout.write(_encode_json(rec.to_dict()) + "\n")
         return
     blocks = []
     for rec in records:
@@ -172,7 +164,8 @@ def _triangle_parts(shape: _Shape) -> tuple[Triangle | None, SideLengths, Point]
     if len(shape) != 3:
         raise ArityMismatch(f"expected a triangle, got {len(shape)} points")
     t = Triangle(shape)
-    return t, side_lengths(t), c_normal_point(t)
+    p, a, b, c = _c_point_and_sides(t)
+    return t, SideLengths(a, b, c), p
 
 
 def _angles_out(values: tuple[float, float, float], degrees: bool):
@@ -189,7 +182,7 @@ def _triangle_record(
     command: str, shape: _Shape, kind: FormKind, tol: Tolerance, degrees: bool
 ) -> ReportRecord:
     t, s, pc = _triangle_parts(shape)
-    cls = _classify(pc, s, tol)
+    cls = _classify(pc, s.a, s.b, s.c, tol)
     ang = _point_angles(pc, tol)
     angles = None if ang is DEGENERATE else _angles_out(ang.as_tuple(), degrees)
     if kind is FormKind.CIRCLE:
@@ -359,6 +352,10 @@ _ALL_KINDS = (FormKind.A_VERTEX, FormKind.B_VERTEX, FormKind.C_VERTEX, FormKind.
 
 
 def _cmd_domains(args, tol: Tolerance) -> list[ReportRecord]:
+    # deferred here and in _cmd_plot: only the drawing commands need figures,
+    # and importing it at module level slows every other command's start-up
+    from .figures import domain_figure, render_svg
+
     if args.kind is None or args.kind == "all":
         kinds = _ALL_KINDS
         out_dir = args.out if args.out is not None else "."
@@ -372,6 +369,8 @@ def _cmd_domains(args, tol: Tolerance) -> list[ReportRecord]:
 
 
 def _cmd_plot(args, tol: Tolerance) -> list[ReportRecord]:
+    from .figures import domain_figure, render_svg, with_point, with_triangle
+
     kind = _kind_from_args(args)
     record = _triangle_record("plot", _shape_from_args(args), kind, tol, args.degrees)
     fig = domain_figure(kind)

@@ -144,9 +144,6 @@ class AngleTriple:
         return (self.alpha, self.beta, self.gamma)
 
 
-_PAIR_INDEXES = ((0, 1), (0, 2), (1, 2))
-
-
 def side_lengths(t: Triangle) -> SideLengths:
     """Sorted side lengths of a triangle."""
     u, v, w = t.vertices
@@ -167,46 +164,90 @@ def triangle_from_sides(s: SideLengths) -> Triangle:
     return Triangle((ORIGIN, Point(s.c, 0.0), Point(s.c * p.x, s.c * p.y)))
 
 
-def _sorted_side_pairs(
-    t: Triangle,
-) -> tuple[list[tuple[float, tuple[int, int]]], tuple[Point, Point, Point]]:
-    """Side lengths with their endpoint indexes, shortest first, and the vertices.
+# A side of a triangle as (length, dx, dy, fx, fy): the side runs from its
+# anchor vertex z_i to z_j = z_i + (dx + i dy), and the free vertex sits at
+# z_i + (fx + i fy).
+_Side = tuple[float, float, float, float, float]
+
+
+def _sorted_sides(
+    x0: float, y0: float, x1: float, y1: float, x2: float, y2: float
+) -> tuple[_Side, _Side, _Side]:
+    """The sides of the triangle (x0, y0), (x1, y1), (x2, y2), shortest first.
+
+    The sides are (0, 1), (0, 2) and (1, 2), each anchored at its lower
+    vertex; their three coordinate differences are taken once and shared.
+    Three compare-exchanges of adjacent entries sort the sides stably, so
+    equal lengths stay in that order.
+    """
+    dx01 = x1 - x0
+    dy01 = y1 - y0
+    dx02 = x2 - x0
+    dy02 = y2 - y0
+    dx12 = x2 - x1
+    dy12 = y2 - y1
+    lo = (math.hypot(dx01, dy01), dx01, dy01, dx02, dy02)
+    mid = (math.hypot(dx02, dy02), dx02, dy02, dx01, dy01)
+    # z_0 - z_1 is -(z_1 - z_0) exactly
+    hi = (math.hypot(dx12, dy12), dx12, dy12, -dx01, -dy01)
+    if lo[0] > mid[0]:
+        lo, mid = mid, lo
+    if mid[0] > hi[0]:
+        mid, hi = hi, mid
+        if lo[0] > mid[0]:
+            lo, mid = mid, lo
+    return lo, mid, hi
+
+
+def _side_pass(t: Triangle) -> tuple[_Side, _Side, _Side]:
+    """The sorted sides of a triangle, from one read of its six coordinates.
 
     When the longest side lies outside [2**-969, 2**960], the vertices are
-    first rescaled by one exact power of two, and both the lengths and the
-    vertices returned are those of the rescaled copy.
+    first rescaled by one exact power of two, and the sides returned are
+    those of the rescaled copy.
     """
-    v = t.vertices
-    pairs = [(distance(v[i], v[j]), (i, j)) for i, j in _PAIR_INDEXES]
-    pairs.sort()
-    if not _TINY <= pairs[2][0] <= _HUGE:
-        xs, ys = _rescaled([p.x for p in v], [p.y for p in v], pairs[2][0])
-        v = tuple(map(Point, xs, ys))
-        pairs = [(distance(v[i], v[j]), (i, j)) for i, j in _PAIR_INDEXES]
-        pairs.sort()
-    return pairs, v
+    p0, p1, p2 = t.vertices
+    sides = _sorted_sides(p0.x, p0.y, p1.x, p1.y, p2.x, p2.y)
+    longest = sides[2][0]
+    if not _TINY <= longest <= _HUGE:
+        xs, ys = _rescaled([p0.x, p1.x, p2.x], [p0.y, p1.y, p2.y], longest)
+        sides = _sorted_sides(xs[0], ys[0], xs[1], ys[1], xs[2], ys[2])
+    return sides
 
 
-def _one_vertex_point(t: Triangle, rank: int, tol: Tolerance = DEFAULT_TOL) -> Point:
+def _one_vertex_point(sides: tuple[_Side, _Side, _Side], rank: int, tol: Tolerance) -> Point:
     """Closed-form placement behind the three one-vertex forms.
 
     The side of the requested rank (0 shortest, 2 longest) runs from vertex
-    i to vertex j; the similarity sending it to (0,0)-(1,0) carries the
-    remaining vertex k to w = (z_k - z_i) / (z_j - z_i).  Folding y to |y|
+    z_i to z_j; the similarity sending it to (0,0)-(1,0) carries the
+    remaining vertex z_k to w = (z_k - z_i) / (z_j - z_i).  Folding y to |y|
     reflects across the x-axis, and folding x to max(x, 1 - x) reflects
     across x = 1/2, which swaps the two anchor vertices and so makes the
-    endpoint order immaterial.  Triangles far from unit size are placed on
-    an exactly rescaled copy, so every finite scale gives the same point.
+    endpoint order immaterial.  The sides come from _side_pass, so
+    triangles far from unit size are placed on an exactly rescaled copy and
+    every finite scale gives the same point.
     """
-    pairs, v = _sorted_side_pairs(t)
-    if rank == 0 and pairs[0][0] <= tol.eps * pairs[2][0]:
+    if rank == 0 and sides[0][0] <= tol.eps * sides[2][0]:
         raise UnboundedType("side lengths of type (0, c, c) have no finite shortest-side form")
-    _, (i, j) = pairs[rank]
-    free = v[3 - i - j]
-    zi = complex(v[i].x, v[i].y)
-    w = (complex(free.x, free.y) - zi) / (complex(v[j].x, v[j].y) - zi)
+    _, dx, dy, fx, fy = sides[rank]
+    w = complex(fx, fy) / complex(dx, dy)
     x = w.real
-    return Point(x if x >= 0.5 else 1.0 - x, abs(w.imag))
+    y = abs(w.imag)
+    if rank == 0 and not (math.isfinite(x) and math.isfinite(y)):
+        # |w| < c / a, so only an eps below 2**-1024 lets w overflow
+        raise UnboundedType("the shortest-side form of this triangle leaves the float range")
+    return Point(x if x >= 0.5 else 1.0 - x, y)
+
+
+def _c_point_and_sides(t: Triangle) -> tuple[Point, float, float, float]:
+    """The longest-side normal point and the sorted side lengths a <= b <= c.
+
+    Both come from one side pass.  Far from unit size the lengths are those
+    of the rescaled copy, so they stay finite whenever the coordinates are.
+    """
+    sides = _side_pass(t)
+    lo, mid, hi = sides
+    return _one_vertex_point(sides, 2, DEFAULT_TOL), lo[0], mid[0], hi[0]
 
 
 def c_normal_point(t: Triangle) -> Point:
@@ -215,7 +256,7 @@ def c_normal_point(t: Triangle) -> Point:
     The longest side becomes the unit segment and the opposite vertex lands
     in the lens {y >= 0, x >= 1/2, x^2 + y^2 <= 1}.
     """
-    return _one_vertex_point(t, 2)
+    return _one_vertex_point(_side_pass(t), 2, DEFAULT_TOL)
 
 
 def b_normal_point(t: Triangle) -> Point:
@@ -225,7 +266,7 @@ def b_normal_point(t: Triangle) -> Point:
     the longest side incident to the origin, so the remaining vertex lands
     in {y >= 0, x >= 1/2, x^2 + y^2 >= 1, (x-1)^2 + y^2 <= 1}.
     """
-    return _one_vertex_point(t, 1)
+    return _one_vertex_point(_side_pass(t), 1, DEFAULT_TOL)
 
 
 def a_normal_point(t: Triangle, tol: Tolerance = DEFAULT_TOL) -> Point:
@@ -236,12 +277,12 @@ def a_normal_point(t: Triangle, tol: Tolerance = DEFAULT_TOL) -> Point:
     side cannot be dilated to unit length.  Such triangles (shortest side
     within tol.eps of zero, relative to the longest) raise UnboundedType.
     """
-    return _one_vertex_point(t, 0, tol)
+    return _one_vertex_point(_side_pass(t), 0, tol)
 
 
 def normal_point(kind: FormKind, t: Triangle, tol: Tolerance = DEFAULT_TOL) -> Point:
     """The one-vertex normal point for the given kind."""
-    return _one_vertex_point(t, _rank(kind), tol)
+    return _one_vertex_point(_side_pass(t), _rank(kind), tol)
 
 
 def in_c_domain(p: Point, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -328,8 +369,8 @@ def is_normal_circle_triangle(t: Triangle, tol: Tolerance = DEFAULT_TOL) -> bool
     return True
 
 
-def _classify(p: Point, s: SideLengths, tol: Tolerance) -> TriangleClass:
-    """Classify by the longest-side normal point p and the side lengths s."""
+def _classify(p: Point, a: float, b: float, c: float, tol: Tolerance) -> TriangleClass:
+    """Classify by the longest-side normal point p and the sorted side lengths."""
     e = tol.eps
     if p.y <= e:
         angle = AngleClass.DEGENERATE
@@ -341,8 +382,8 @@ def _classify(p: Point, s: SideLengths, tol: Tolerance) -> TriangleClass:
             angle = AngleClass.OBTUSE
         else:
             angle = AngleClass.ACUTE
-    u = s.a / s.c
-    v = s.b / s.c
+    u = a / c
+    v = b / c
     if 1.0 - u <= e:
         side = SideClass.EQUILATERAL
     elif v - u <= e or 1.0 - v <= e:
@@ -362,7 +403,7 @@ def classify(t: Triangle, tol: Tolerance = DEFAULT_TOL) -> TriangleClass:
     (x - 1/2)^2 + y^2 - 1/4 against eps, which for side lengths matches the
     Pythagorean gap a^2 + b^2 - c^2 scaled by 1 / (2 c^2).
     """
-    return _classify(c_normal_point(t), side_lengths(t), tol)
+    return _classify(*_c_point_and_sides(t), tol)
 
 
 def triangles_similar(t1: Triangle, t2: Triangle, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -20,8 +20,10 @@ from simnorm import (
     reflect_normalize,
     similarity_from_segment,
 )
-from simnorm.errors import DegenerateSegment
+from simnorm.errors import DegenerateSegment, UnboundedType
+from simnorm.geometry import _HUGE, _TINY, _rescaled
 from simnorm.quads import _key_cmp, _reflection_images
+from simnorm.triangles import TriangleClass, _classify
 
 _X_AXIS_REFLECT = SimilarityTransform(reflect=True)
 # reflection across the vertical line x = 1/2: conjugate, half turn, shift
@@ -49,6 +51,46 @@ def pipeline_normal_point(t: Triangle, rank: int) -> Point:
     if p.x < 0.5:
         p = _MIDLINE_REFLECT.apply(p)
     return p
+
+
+def _list_sorted_pairs(t: Triangle) -> tuple[list[tuple[float, tuple[int, int]]], tuple[Point, ...]]:
+    """Side lengths with their endpoint indexes, sorted as a list, and the vertices.
+
+    Outside [_TINY, _HUGE] both are those of the copy rescaled by a power of two.
+    """
+    v = t.vertices
+    pairs = sorted((distance(v[i], v[j]), (i, j)) for i, j in ((0, 1), (0, 2), (1, 2)))
+    if not _TINY <= pairs[2][0] <= _HUGE:
+        xs, ys = _rescaled([p.x for p in v], [p.y for p in v], pairs[2][0])
+        v = tuple(map(Point, xs, ys))
+        pairs = sorted((distance(v[i], v[j]), (i, j)) for i, j in ((0, 1), (0, 2), (1, 2)))
+    return pairs, v
+
+
+def list_sort_normal_point(t: Triangle, rank: int, tol: Tolerance = DEFAULT_TOL) -> Point:
+    """One-vertex normal point from side pairs sorted as a list of tuples.
+
+    Measures the sides with distance(), sorts (length, (i, j)) tuples with
+    list.sort and places the free vertex by complex arithmetic on the
+    Points.  Same arithmetic as the library's single side pass, different
+    ordering code, so the two must agree bit for bit.
+    """
+    pairs, v = _list_sorted_pairs(t)
+    if rank == 0 and pairs[0][0] <= tol.eps * pairs[2][0]:
+        raise UnboundedType("side lengths of type (0, c, c) have no finite shortest-side form")
+    _, (i, j) = pairs[rank]
+    free = v[3 - i - j]
+    zi = complex(v[i].x, v[i].y)
+    w = (complex(free.x, free.y) - zi) / (complex(v[j].x, v[j].y) - zi)
+    x = w.real
+    return Point(x if x >= 0.5 else 1.0 - x, abs(w.imag))
+
+
+def list_sort_classify(t: Triangle, tol: Tolerance = DEFAULT_TOL) -> TriangleClass:
+    """classify from the list-sort c point and the list-sorted side lengths."""
+    pairs, _ = _list_sorted_pairs(t)
+    a, b, c = (length for length, _ in pairs)
+    return _classify(list_sort_normal_point(t, 2), a, b, c, tol)
 
 
 def _exact_radicand(a: float, b: float, c: float) -> Fraction:

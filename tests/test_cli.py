@@ -124,6 +124,30 @@ def test_subnormal_right_triangle_record(capsys):
     assert rec["angle_class"] == "right"
 
 
+def test_near_max_triangle_record(capsys):
+    # all three side lengths overflow; the record reads them off the rescaled copy
+    code, out, err = run(capsys, "normalize", "--points", "-1.7e308,0", "1.7e308,0", "0,1e308")
+    assert code == 0, err
+    assert "normal_point: (0.5, 0.29411764705882354)" in out
+    assert "side_ratios: (0.580090674215177, 0.580090674215177, 1.0)" in out
+    assert "angle_class: obtuse" in out
+    assert "side_class: isosceles" in out
+
+
+def test_triangle_record_takes_three_side_lengths(capsys, monkeypatch):
+    calls = []
+
+    def hypot(*coords):
+        calls.append(coords)
+        return real_hypot(*coords)
+
+    real_hypot = math.hypot
+    monkeypatch.setattr(math, "hypot", hypot)
+    (rec,) = run_json(capsys, "normalize", "--points", "0,0", "3,0", "0,4")
+    assert rec["normal_point"] == [0.64, 0.48]
+    assert len(calls) == 3
+
+
 def test_degrees_flag_converts_both_ways(capsys):
     (rec,) = run_json(capsys, "normalize", "--angles", "60", "60", "60", "--degrees")
     assert rec["angles"] == pytest.approx([60.0, 60.0, 60.0])
@@ -255,6 +279,14 @@ def test_shortest_side_form_beyond_float_range_exit_code(capsys):
         code, _, err = run(capsys, "normalize", "--sides", *sides, "--kind", "a")
         assert code == 3
         assert "error: UnboundedType" in err
+
+
+def test_shortest_side_form_overflow_under_tiny_eps_exit_code(capsys):
+    code, _, err = run(
+        capsys, "normalize", "--points", "0,0", "1e-300,0", "1e15,1", "--kind", "a", "--eps", "5e-324"
+    )
+    assert code == 3
+    assert "error: UnboundedType" in err
 
 
 def test_bad_point_token_exit_code(capsys):
@@ -458,3 +490,14 @@ def test_module_entrypoint_subprocess():
     )
     assert proc.returncode == 0
     assert "normal_point: (0.64, 0.48)" in proc.stdout
+
+
+def test_cli_import_leaves_figures_unloaded():
+    # only the drawing commands import simnorm.figures
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, simnorm.cli; print('simnorm.figures' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

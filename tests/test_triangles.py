@@ -1,5 +1,6 @@
 """Triangle value types, the placement pipeline, and the circle form."""
 
+import itertools
 import math
 import random
 
@@ -14,7 +15,12 @@ from helpers import (
     rand_triangle,
     repeated_vertex_triangle,
 )
-from oracles import pipeline_normal_point, shoelace_area
+from oracles import (
+    list_sort_classify,
+    list_sort_normal_point,
+    pipeline_normal_point,
+    shoelace_area,
+)
 from simnorm import (
     AngleClass,
     AngleTriple,
@@ -221,6 +227,75 @@ def test_placement_matches_trig_pipeline():
             limit = 1e-13 * max(1.0, abs(want.x), abs(want.y))
             assert abs(have.x - want.x) <= limit
             assert abs(have.y - want.y) <= limit
+
+
+def _outcome(fn, *args):
+    try:
+        return repr(fn(*args))
+    except UnboundedType:
+        return "UnboundedType"
+
+
+def test_side_pass_matches_the_list_sort_oracle():
+    shapes = [
+        ((0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3.0) / 2.0)),
+        ((0.0, 0.0), (2.0, 0.0), (1.0, 3.0)),
+        ((1.0, 1.0), (1.0, 1.0), (4.0, 5.0)),
+        ((0.0, 0.0), (1.0, 0.0), (3.0, 0.0)),
+        # rescaled first: side lengths that overflow, a subnormal right triangle
+        ((-1.7e308, 0.0), (1.7e308, 0.0), (0.0, 1e308)),
+        ((0.0, 0.0), (4e-323, 0.0), (4e-323, 3e-323)),
+    ]
+    cases = [tri(*order) for shape in shapes for order in itertools.permutations(shape)]
+    rng = random.Random(410)
+    for k in range(2000):
+        t = rand_triangle(rng, degenerate_fraction=0.10, repeat_fraction=0.05)
+        if k % 4 == 1:
+            # a needle: the third vertex near the midpoint of the first two
+            p, q, _ = t.vertices
+            h = rng.choice((1e-3, 1e-7, 1e-12))
+            t = tri((p.x, p.y), (q.x, q.y), ((p.x + q.x) / 2 + h, (p.y + q.y) / 2 - h))
+        elif k % 4 == 2:
+            scale = rng.choice((1e-12, 1e200))
+            t = Triangle.of(*(Point(scale * v.x, scale * v.y) for v in t.vertices))
+        cases.append(t)
+    for t in cases:
+        for rank, fn in enumerate((a_normal_point, b_normal_point, c_normal_point)):
+            assert _outcome(fn, t) == _outcome(list_sort_normal_point, t, rank), (t, rank)
+        assert repr(classify(t)) == repr(list_sort_classify(t)), t
+
+
+def test_classify_takes_three_side_lengths(monkeypatch):
+    calls = []
+
+    def hypot(*coords):
+        calls.append(coords)
+        return real_hypot(*coords)
+
+    real_hypot = math.hypot
+    monkeypatch.setattr(math, "hypot", hypot)
+    for t, passes in (
+        (tri((0.0, 0.0), (3.0, 0.0), (0.0, 4.0)), 1),
+        (tri((1.0, 1.0), (1.0, 1.0), (4.0, 5.0)), 1),
+        # measured once more on the rescaled copy
+        (tri((-1.7e308, 0.0), (1.7e308, 0.0), (0.0, 1e308)), 2),
+    ):
+        calls.clear()
+        classify(t)
+        assert len(calls) == 3 * passes
+
+
+def test_near_max_triangle_classifies():
+    # its side lengths overflow, those of its rescaled copy do not
+    cls = classify(tri((-1.7e308, 0.0), (1.7e308, 0.0), (0.0, 1e308)))
+    assert cls.angle_class is AngleClass.OBTUSE
+    assert cls.side_class is SideClass.ISOSCELES
+
+
+def test_shortest_side_form_beyond_float_range_is_unbounded():
+    t = tri((0.0, 0.0), (1e-300, 0.0), (1e15, 1.0))
+    with pytest.raises(UnboundedType):
+        a_normal_point(t, Tolerance(5e-324))
 
 
 def test_extreme_scales_share_the_unit_scale_form():
