@@ -6,7 +6,8 @@ Numbers are serialized with repr so 64-bit values round-trip exactly.
 
 Exit codes: 0 success, 2 parse or validation error, 3 domain error
 (unbounded type, degenerate input, out-of-domain point, arity mismatch),
-4 I/O error.  Diagnostics go to stderr as "error: <ErrorName>: <detail>".
+4 I/O error, a closed stdout included.  Diagnostics go to stderr as
+"error: <ErrorName>: <detail>".
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
 
 from .conversions import (
     DEGENERATE,
@@ -26,51 +26,64 @@ from .conversions import (
     sides_from_angles,
 )
 from .errors import ArityMismatch, DegenerateAngles, GeometryError, InvalidSides
-from .geometry import Point, Tolerance
+from .geometry import DEFAULT_TOL, Point, Tolerance, _set, _Value
 from .quads import Quadrilateral, in_d_region, normalize_quad
 from .triangles import (
     AngleTriple,
     FormKind,
     SideLengths,
     Triangle,
-    _c_point_and_sides,
     _classify,
+    _one_vertex_point,
+    _rank,
+    _side_pass,
     circle_normal_form,
     in_c_domain,
     in_domain,
-    normal_point,
 )
 
 
-@dataclass(frozen=True)
-class ReportRecord:
+class ReportRecord(_Value):
     """Flat serializable result of one computation; unset fields are None."""
 
+    __slots__ = (
+        "command", "form_kind", "normal_point", "circle_vertices", "quad_c", "quad_d",
+        "in_domain", "angle_class", "side_class", "angles", "side_ratios", "degenerate",
+        "similar", "key_a", "key_b", "outputs",
+    )
     command: str
-    form_kind: str | None = None
-    normal_point: tuple[float, float] | None = None
-    circle_vertices: tuple[tuple[float, float], ...] | None = None
-    quad_c: tuple[float, float] | None = None
-    quad_d: tuple[float, float] | None = None
-    in_domain: bool | None = None
-    angle_class: str | None = None
-    side_class: str | None = None
-    angles: tuple[float, float, float] | None = None
-    side_ratios: tuple[float, float, float] | None = None
-    degenerate: bool | None = None
-    similar: bool | None = None
-    key_a: tuple[float, ...] | None = None
-    key_b: tuple[float, ...] | None = None
-    outputs: tuple[str, ...] | None = None
+    form_kind: str | None
+    normal_point: tuple[float, float] | None
+    circle_vertices: tuple[tuple[float, float], ...] | None
+    quad_c: tuple[float, float] | None
+    quad_d: tuple[float, float] | None
+    in_domain: bool | None
+    angle_class: str | None
+    side_class: str | None
+    angles: tuple[float, float, float] | None
+    side_ratios: tuple[float, float, float] | None
+    degenerate: bool | None
+    similar: bool | None
+    key_a: tuple[float, ...] | None
+    key_b: tuple[float, ...] | None
+    outputs: tuple[str, ...] | None
+
+    def __init__(
+        self, command, form_kind=None, normal_point=None, circle_vertices=None, quad_c=None,
+        quad_d=None, in_domain=None, angle_class=None, side_class=None, angles=None,
+        side_ratios=None, degenerate=None, similar=None, key_a=None, key_b=None, outputs=None,
+    ) -> None:
+        values = locals()
+        for name in self.__slots__:
+            _set(self, name, values[name])
 
     def to_dict(self) -> dict:
-        """The set fields; tuples stay tuples, which json writes as arrays."""
-        return {k: v for k, v in self.__dict__.items() if v is not None}
+        """The set fields in field order; tuples stay tuples, which json writes as arrays."""
+        return {k: v for k, v in zip(self.__slots__, self._fields(self)) if v is not None}
 
     @classmethod
     def from_dict(cls, data: dict) -> ReportRecord:
-        kwargs = {f.name: _tupled(data[f.name]) for f in fields(cls) if f.name in data}
-        return cls(**kwargs)
+        return cls(**{k: _tupled(data[k]) for k in cls.__slots__ if k in data})
 
 
 def _tupled(value):
@@ -102,11 +115,7 @@ def _emit(records: list[ReportRecord], fmt: str) -> None:
         return
     blocks = []
     for rec in records:
-        lines = [
-            f"{f.name}: {_format_value(getattr(rec, f.name))}"
-            for f in fields(rec)
-            if getattr(rec, f.name) is not None
-        ]
+        lines = [f"{k}: {_format_value(v)}" for k, v in rec.to_dict().items()]
         blocks.append("\n".join(lines))
     sys.stdout.write("\n\n".join(blocks) + "\n")
 
@@ -157,15 +166,19 @@ def _arity(shape: _Shape) -> int:
     return 3 if isinstance(shape, SideLengths) else len(shape)
 
 
-def _triangle_parts(shape: _Shape) -> tuple[Triangle | None, SideLengths, Point]:
-    """The triangle (None for side lengths), its sides and its c normal point."""
+def _triangle_parts(shape: _Shape) -> tuple[tuple | None, SideLengths, Point]:
+    """The sorted sides (None for side lengths), the side lengths and the c point.
+
+    A point triangle gets all three from one side pass, which the record
+    reuses for the a and b forms.
+    """
     if isinstance(shape, SideLengths):
         return None, shape, normal_point_from_sides(FormKind.C_VERTEX, shape)
     if len(shape) != 3:
         raise ArityMismatch(f"expected a triangle, got {len(shape)} points")
-    t = Triangle(shape)
-    p, a, b, c = _c_point_and_sides(t)
-    return t, SideLengths(a, b, c), p
+    sides = _side_pass(Triangle(shape))
+    lo, mid, hi = sides
+    return sides, SideLengths(lo[0], mid[0], hi[0]), _one_vertex_point(sides, 2, DEFAULT_TOL)
 
 
 def _angles_out(values: tuple[float, float, float], degrees: bool):
@@ -181,7 +194,7 @@ def _point_pair(p: Point) -> tuple[float, float]:
 def _triangle_record(
     command: str, shape: _Shape, kind: FormKind, tol: Tolerance, degrees: bool
 ) -> ReportRecord:
-    t, s, pc = _triangle_parts(shape)
+    sides, s, pc = _triangle_parts(shape)
     cls = _classify(pc, s.a, s.b, s.c, tol)
     ang = _point_angles(pc, tol)
     angles = None if ang is DEGENERATE else _angles_out(ang.as_tuple(), degrees)
@@ -200,8 +213,8 @@ def _triangle_record(
         )
     if kind is FormKind.C_VERTEX:
         p = pc
-    elif t is not None:
-        p = normal_point(kind, t, tol)
+    elif sides is not None:
+        p = _one_vertex_point(sides, _rank(kind), tol)
     else:
         p = normal_point_from_sides(kind, s)
     return ReportRecord(
@@ -494,5 +507,12 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(exc, 2)
     except OSError as exc:
         return _fail(exc, 4)
-    _emit(records, args.format)
+    try:
+        _emit(records, args.format)
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # the reader left: point stdout at devnull, so that the flush at exit
+        # does not fail again on what is still buffered
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _fail(exc, 4)
     return 0

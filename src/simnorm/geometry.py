@@ -7,15 +7,55 @@ arguments, so it is safe to share between threads and to memoize.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from operator import attrgetter
 
 from .errors import DegenerateSegment
 
 TAU = math.tau
 
+# constructors store their fields with this, past _Value.__setattr__
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class Tolerance:
+
+class _Value:
+    """Base of the immutable value types; behaves as a frozen dataclass.
+
+    The field names are the subclass's __slots__, in constructor order.
+    Assignment and deletion raise AttributeError; equality holds between
+    instances of one class with equal fields; the hash, repr, positional
+    match patterns, copy and pickle all follow the field tuple.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        names = cls.__match_args__ = cls.__slots__
+        get = attrgetter(*names)
+        cls._fields = staticmethod(get if len(names) > 1 else lambda value: (get(value),))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields(self) == self._fields(other)
+
+    def __hash__(self):
+        return hash(self._fields(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__match_args__, self._fields(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields(self)
+
+
+class Tolerance(_Value):
     """Absolute threshold used by the geometric predicates.
 
     Orderings (lex_less and the quasilexicographic comparisons) stay exact;
@@ -24,26 +64,30 @@ class Tolerance:
     configuration lives at unit scale, hence the hard upper bound on eps.
     """
 
-    eps: float = 1e-9
+    __slots__ = ("eps",)
+    eps: float
 
-    def __post_init__(self) -> None:
-        if not (0.0 < self.eps < 1e-3):
-            raise ValueError(f"tolerance eps must lie in (0, 1e-3), got {self.eps!r}")
+    def __init__(self, eps: float = 1e-9) -> None:
+        if not (0.0 < eps < 1e-3):
+            raise ValueError(f"tolerance eps must lie in (0, 1e-3), got {eps!r}")
+        _set(self, "eps", eps)
 
 
 DEFAULT_TOL = Tolerance()
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(_Value):
     """A position in the Cartesian plane."""
 
+    __slots__ = ("x", "y")
     x: float
     y: float
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"point coordinates must be finite, got ({self.x!r}, {self.y!r})")
+    def __init__(self, x: float, y: float) -> None:
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"point coordinates must be finite, got ({x!r}, {y!r})")
+        _set(self, "x", x)
+        _set(self, "y", y)
 
     def close_to(self, other: Point, tol: Tolerance = DEFAULT_TOL) -> bool:
         """Coordinatewise agreement within tol.eps."""
@@ -59,8 +103,7 @@ def distance(p: Point, q: Point) -> float:
     return math.hypot(q.x - p.x, q.y - p.y)
 
 
-@dataclass(frozen=True)
-class SimilarityTransform:
+class SimilarityTransform(_Value):
     """A plane similarity in factored form.
 
     Applies, in order: reflection across the x-axis (when ``reflect`` is
@@ -70,24 +113,31 @@ class SimilarityTransform:
     always positive and the orientation class can be read off ``reflect``.
     """
 
-    scale: float = 1.0
-    rotation: float = 0.0
-    reflect: bool = False
-    translation: Point = ORIGIN
+    __slots__ = ("scale", "rotation", "reflect", "translation")
+    scale: float
+    rotation: float
+    reflect: bool
+    translation: Point
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.scale) or self.scale == 0.0:
-            raise ValueError(f"scale must be finite and nonzero, got {self.scale!r}")
-        if not math.isfinite(self.rotation):
-            raise ValueError(f"rotation must be finite, got {self.rotation!r}")
-        scale, rotation = self.scale, self.rotation
+    def __init__(
+        self,
+        scale: float = 1.0,
+        rotation: float = 0.0,
+        reflect: bool = False,
+        translation: Point = ORIGIN,
+    ) -> None:
+        if not math.isfinite(scale) or scale == 0.0:
+            raise ValueError(f"scale must be finite and nonzero, got {scale!r}")
+        if not math.isfinite(rotation):
+            raise ValueError(f"rotation must be finite, got {rotation!r}")
         if scale < 0.0:
             scale, rotation = -scale, rotation + math.pi
+        _set(self, "scale", scale)
         # keep the angle in [-pi, pi] so transforms differing by full turns
         # compare equal
-        rotation = math.remainder(rotation, TAU)
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "rotation", rotation)
+        _set(self, "rotation", math.remainder(rotation, TAU))
+        _set(self, "reflect", reflect)
+        _set(self, "translation", translation)
 
     @classmethod
     def identity(cls) -> SimilarityTransform:

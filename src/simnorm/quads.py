@@ -14,7 +14,6 @@ on identical representatives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DegenerateQuad, PreconditionViolated
 from .geometry import (
@@ -26,6 +25,8 @@ from .geometry import (
     Point,
     Tolerance,
     _rescaled,
+    _set,
+    _Value,
     quasilex_eq,
 )
 
@@ -37,28 +38,33 @@ ANCHOR_B = UNIT_X
 _PAIR_SPLITS = ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2), (1, 2, 0, 3), (1, 3, 0, 2), (2, 3, 0, 1))
 
 
-@dataclass(frozen=True)
-class Quadrilateral:
+class Quadrilateral(_Value):
     """Multiset of four vertices, at least two distinct."""
 
+    __slots__ = ("vertices",)
     vertices: tuple[Point, Point, Point, Point]
 
-    def __post_init__(self) -> None:
-        first = self.vertices[0]
-        if all(v == first for v in self.vertices[1:]):
+    def __init__(self, vertices: tuple[Point, Point, Point, Point]) -> None:
+        first = vertices[0]
+        if all(v == first for v in vertices[1:]):
             raise DegenerateQuad("quadrilateral needs at least two distinct vertices")
+        _set(self, "vertices", vertices)
 
     @classmethod
     def of(cls, p: Point, q: Point, r: Point, s: Point) -> Quadrilateral:
         return cls((p, q, r, s))
 
 
-@dataclass(frozen=True)
-class QuadNormalForm:
+class QuadNormalForm(_Value):
     """Canonical pair (c, d) carried alongside the anchors (0,0) and (1,0)."""
 
+    __slots__ = ("c", "d")
     c: Point
     d: Point
+
+    def __init__(self, c: Point, d: Point) -> None:
+        _set(self, "c", c)
+        _set(self, "d", d)
 
     def points(self) -> tuple[Point, Point, Point, Point]:
         return (ANCHOR_A, ANCHOR_B, self.c, self.d)

@@ -11,11 +11,12 @@ fixed at (1,0).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DegenerateAngles, InvalidSides, UnboundedType
-from .geometry import DEFAULT_TOL, ORIGIN, _HUGE, _TINY, Point, Tolerance, _rescaled, distance
+from .geometry import (
+    DEFAULT_TOL, ORIGIN, _HUGE, _TINY, Point, Tolerance, _rescaled, _set, _Value, distance
+)
 
 _EQUILATERAL_POINT = Point(0.5, math.sqrt(3.0) / 2.0)
 
@@ -59,48 +60,56 @@ class SideClass(Enum):
     SCALENE = "scalene"
 
 
-@dataclass(frozen=True)
-class TriangleClass:
+class TriangleClass(_Value):
+    __slots__ = ("angle_class", "side_class")
     angle_class: AngleClass
     side_class: SideClass
 
+    def __init__(self, angle_class: AngleClass, side_class: SideClass) -> None:
+        _set(self, "angle_class", angle_class)
+        _set(self, "side_class", side_class)
 
-@dataclass(frozen=True)
-class Triangle:
+
+class Triangle(_Value):
     """Multiset of three vertices; at most one repeated point allowed."""
 
+    __slots__ = ("vertices",)
     vertices: tuple[Point, Point, Point]
 
-    def __post_init__(self) -> None:
-        u, v, w = self.vertices
+    def __init__(self, vertices: tuple[Point, Point, Point]) -> None:
+        u, v, w = vertices
         if u == v == w:
             raise ValueError("triangle needs at least two distinct vertices")
+        _set(self, "vertices", vertices)
 
     @classmethod
     def of(cls, p: Point, q: Point, r: Point) -> Triangle:
         return cls((p, q, r))
 
 
-@dataclass(frozen=True)
-class SideLengths:
+class SideLengths(_Value):
     """Sorted side lengths a <= b <= c of a (possibly degenerate) triangle."""
 
+    __slots__ = ("a", "b", "c")
     a: float
     b: float
     c: float
 
-    def __post_init__(self) -> None:
-        for v in (self.a, self.b, self.c):
+    def __init__(self, a: float, b: float, c: float) -> None:
+        for v in (a, b, c):
             if not math.isfinite(v):
                 raise InvalidSides(f"side lengths must be finite, got {v!r}")
-        if self.a < 0.0:
-            raise InvalidSides(f"side lengths must be nonnegative, got {self.a!r}")
-        if not (self.a <= self.b <= self.c):
-            raise InvalidSides(f"sides must be sorted ascending: {(self.a, self.b, self.c)!r}")
-        if self.c <= 0.0:
+        if a < 0.0:
+            raise InvalidSides(f"side lengths must be nonnegative, got {a!r}")
+        if not (a <= b <= c):
+            raise InvalidSides(f"sides must be sorted ascending: {(a, b, c)!r}")
+        if c <= 0.0:
             raise InvalidSides("longest side must be positive")
-        if self.a + self.b < self.c - _SIDE_SLACK * self.c:
-            raise InvalidSides(f"triangle inequality fails: {(self.a, self.b, self.c)!r}")
+        if a + b < c - _SIDE_SLACK * c:
+            raise InvalidSides(f"triangle inequality fails: {(a, b, c)!r}")
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "c", c)
 
     @classmethod
     def of(cls, x: float, y: float, z: float) -> SideLengths:
@@ -113,8 +122,7 @@ class SideLengths:
         return (self.a / self.c, self.b / self.c, 1.0)
 
 
-@dataclass(frozen=True)
-class AngleTriple:
+class AngleTriple(_Value):
     """Interior angles sorted ascending; alpha + beta + gamma = pi.
 
     The constructor sorts its arguments, so alpha is always the smallest
@@ -122,12 +130,13 @@ class AngleTriple:
     beta <= (pi - alpha) / 2.
     """
 
+    __slots__ = ("alpha", "beta", "gamma")
     alpha: float
     beta: float
     gamma: float
 
-    def __post_init__(self) -> None:
-        angles = (self.alpha, self.beta, self.gamma)
+    def __init__(self, alpha: float, beta: float, gamma: float) -> None:
+        angles = (alpha, beta, gamma)
         for v in angles:
             if not math.isfinite(v):
                 raise DegenerateAngles(f"angles must be finite, got {v!r}")
@@ -136,9 +145,9 @@ class AngleTriple:
             raise DegenerateAngles(f"smallest angle must be positive, got {alpha!r}")
         if abs(alpha + beta + gamma - math.pi) > _ANGLE_SLACK:
             raise DegenerateAngles(f"angles must sum to pi, got {alpha + beta + gamma!r}")
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "gamma", gamma)
+        _set(self, "alpha", alpha)
+        _set(self, "beta", beta)
+        _set(self, "gamma", gamma)
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.alpha, self.beta, self.gamma)
@@ -237,17 +246,6 @@ def _one_vertex_point(sides: tuple[_Side, _Side, _Side], rank: int, tol: Toleran
         # |w| < c / a, so only an eps below 2**-1024 lets w overflow
         raise UnboundedType("the shortest-side form of this triangle leaves the float range")
     return Point(x if x >= 0.5 else 1.0 - x, y)
-
-
-def _c_point_and_sides(t: Triangle) -> tuple[Point, float, float, float]:
-    """The longest-side normal point and the sorted side lengths a <= b <= c.
-
-    Both come from one side pass.  Far from unit size the lengths are those
-    of the rescaled copy, so they stay finite whenever the coordinates are.
-    """
-    sides = _side_pass(t)
-    lo, mid, hi = sides
-    return _one_vertex_point(sides, 2, DEFAULT_TOL), lo[0], mid[0], hi[0]
 
 
 def c_normal_point(t: Triangle) -> Point:
@@ -401,9 +399,13 @@ def classify(t: Triangle, tol: Tolerance = DEFAULT_TOL) -> TriangleClass:
     test: the point (1, 0) lies on the right-angle arc but reports
     DEGENERATE.  The angle test compares the squared-radius residual
     (x - 1/2)^2 + y^2 - 1/4 against eps, which for side lengths matches the
-    Pythagorean gap a^2 + b^2 - c^2 scaled by 1 / (2 c^2).
+    Pythagorean gap a^2 + b^2 - c^2 scaled by 1 / (2 c^2).  The point and
+    the side lengths come from one side pass; far from unit size the lengths
+    are those of the rescaled copy, so they stay finite whenever the
+    coordinates are.
     """
-    return _classify(*_c_point_and_sides(t), tol)
+    lo, mid, hi = sides = _side_pass(t)
+    return _classify(_one_vertex_point(sides, 2, tol), lo[0], mid[0], hi[0], tol)
 
 
 def triangles_similar(t1: Triangle, t2: Triangle, tol: Tolerance = DEFAULT_TOL) -> bool:

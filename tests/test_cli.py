@@ -146,6 +146,10 @@ def test_triangle_record_takes_three_side_lengths(capsys, monkeypatch):
     (rec,) = run_json(capsys, "normalize", "--points", "0,0", "3,0", "0,4")
     assert rec["normal_point"] == [0.64, 0.48]
     assert len(calls) == 3
+    for kind in ("a", "b", "c"):
+        calls.clear()
+        run_json(capsys, "normalize", "--points", "0,0", "3,0", "0,4", "--kind", kind)
+        assert len(calls) == 3, kind
 
 
 def test_degrees_flag_converts_both_ways(capsys):
@@ -501,3 +505,21 @@ def test_cli_import_leaves_figures_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_closed_stdout_exits_4_without_traceback(tmp_path):
+    # the records fill the pipe, so the reader leaves while simnorm still writes
+    batch = tmp_path / "batch.txt"
+    batch.write_text("sides 3 4 5\n" * 5000, encoding="utf-8")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "simnorm", "normalize", "--batch", str(batch), "--format", "structured"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert json.loads(proc.stdout.readline())["normal_point"] == [0.64, 0.48]
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 4
+    assert err.startswith("error: BrokenPipeError: "), err
+    assert "Traceback" not in err
