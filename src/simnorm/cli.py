@@ -113,11 +113,14 @@ def _emit(records: list[ReportRecord], fmt: str) -> None:
         for rec in records:
             sys.stdout.write(_encode_json(rec.to_dict()) + "\n")
         return
-    blocks = []
+    # one write per record, as in structured mode: an unbuffered stdout hands
+    # a large write to one os.write, and a reader that leaves mid-write makes
+    # it return short with no error, so the rest would vanish silently
+    sep = ""
     for rec in records:
         lines = [f"{k}: {_format_value(v)}" for k, v in rec.to_dict().items()]
-        blocks.append("\n".join(lines))
-    sys.stdout.write("\n\n".join(blocks) + "\n")
+        sys.stdout.write(sep + "\n".join(lines) + "\n")
+        sep = "\n"
 
 
 # a shape is what the library takes: 3 or 4 vertices, or side lengths

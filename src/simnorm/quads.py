@@ -5,10 +5,13 @@ them distinct; no convexity or ordering is assumed.  The normal form sends
 one pair of points realizing the largest pairwise distance to (0,0)-(1,0)
 and records the two carried points as (c, d), with c confined to the
 longest-side triangle region and d to a smaller region depending on c.
-Every placement choice (which extreme pair, which endpoint order, which of
-the four reflections fixing the anchor pair) is enumerated, and the
-quasilexicographically largest candidate pair wins, so similar inputs land
-on identical representatives.
+Every placement choice (which extreme pair, which endpoint order) is
+enumerated.  Of the four reflections fixing the anchor pair, only those
+that fold the leading carried point into that region are tried: one,
+unless the point lies within eps of the x-axis or of x = 1/2, where the
+image across that axis is a candidate too.  The quasilexicographically
+largest candidate pair wins, so similar inputs land on identical
+representatives.
 """
 
 from __future__ import annotations
@@ -96,66 +99,33 @@ def in_d_region(p: Point, c: Point, tol: Tolerance = DEFAULT_TOL) -> bool:
     return True
 
 
-def _reflection_images(p: Point) -> tuple[Point, Point, Point, Point]:
-    """Images of p under the four reflections fixing the anchor pair."""
+def _pair_distances(
+    x0: float, y0: float, x1: float, y1: float, x2: float, y2: float, x3: float, y3: float
+) -> tuple[float, float, float, float, float, float]:
+    """The six pairwise distances, in _PAIR_SPLITS order."""
+    hypot = math.hypot
     return (
-        p,
-        Point(1.0 - p.x, p.y),
-        Point(p.x, -p.y),
-        Point(1.0 - p.x, -p.y),
+        hypot(x1 - x0, y1 - y0), hypot(x2 - x0, y2 - y0), hypot(x3 - x0, y3 - y0),
+        hypot(x2 - x1, y2 - y1), hypot(x3 - x1, y3 - y1), hypot(x3 - x2, y3 - y2),
     )
-
-
-def _leading_choices(
-    x1: float, y1: float, x2: float, y2: float, e: float
-) -> tuple[tuple[float, float, float, float], ...]:
-    """Which carried point may claim the c slot, as (lead x, y, trail x, y); ties admit both."""
-    m1 = abs(x1 - 0.5)
-    m2 = abs(x2 - 0.5)
-    if m1 > m2 + e:
-        return ((x1, y1, x2, y2),)
-    if m2 > m1 + e:
-        return ((x2, y2, x1, y1),)
-    a1 = abs(y1)
-    a2 = abs(y2)
-    if a1 > a2 + e:
-        return ((x1, y1, x2, y2),)
-    if a2 > a1 + e:
-        return ((x2, y2, x1, y1),)
-    return ((x1, y1, x2, y2), (x2, y2, x1, y1))
-
-
-def _key_cmp(a: tuple[float, ...], b: tuple[float, ...], e: float) -> int:
-    """Lexicographic comparison treating components within e as tied.
-
-    Placement arithmetic perturbs coordinates by a few ulps, so raw float
-    comparison of keys would let that noise decide between reflection
-    branches whose folded keys agree; a carried point sitting exactly on a
-    symmetry axis would then canonicalize differently for different vertex
-    orders of the same quadrilateral.
-    """
-    for x, y in zip(a, b):
-        if x > y + e:
-            return 1
-        if x < y - e:
-            return -1
-    return 0
-
-
-def _pair_distances(xs: list[float], ys: list[float]) -> list[float]:
-    return [math.hypot(xs[j] - xs[i], ys[j] - ys[i]) for i, j, _, _ in _PAIR_SPLITS]
 
 
 def normalize_quad(q: Quadrilateral, tol: Tolerance = DEFAULT_TOL) -> QuadNormalForm:
     """Canonical representative of q's similarity class.
 
     Enumerates every pair realizing the maximum distance (ties detected at
-    relative eps), both endpoint orders under direct placement, and the
-    four anchor-fixing reflections; keeps candidates whose leading carried
-    point lands in the longest-side region, and returns the largest pair in
-    the quasilexicographic pair order.  Exact residual ties between equal
-    keys fall through to raw coordinate comparison, which keeps the result
-    deterministic for mirror-symmetric inputs.
+    relative eps) and both endpoint orders under direct placement.  The
+    carried point farther from x = 1/2, then farther from the x-axis, leads
+    (within eps both may).  Each lead is folded straight into the
+    longest-side region: its y sign picks the reflection across the x-axis
+    and its side of x = 1/2 the reflection across that line, and only a lead
+    within eps of an axis also keeps the image on the other side of it.
+    The largest candidate in the quasilexicographic pair order wins; keys
+    are compared with components within eps tied (placement arithmetic
+    perturbs coordinates by a few ulps, and that noise must not pick a
+    reflection), and exact residual ties fall through to raw coordinate
+    comparison, which keeps the result deterministic for mirror-symmetric
+    inputs.
 
     The search runs on plain floats and builds Points only for the winning
     c and d.  When the largest distance lies outside [2**-969, 2**960], the
@@ -164,17 +134,18 @@ def normalize_quad(q: Quadrilateral, tol: Tolerance = DEFAULT_TOL) -> QuadNormal
     inputs inside that band are computed unscaled.
     """
     e = tol.eps
-    xs = [v.x for v in q.vertices]
-    ys = [v.y for v in q.vertices]
-    dists = _pair_distances(xs, ys)
+    p0, p1, p2, p3 = q.vertices
+    x0, y0, x1, y1, x2, y2, x3, y3 = p0.x, p0.y, p1.x, p1.y, p2.x, p2.y, p3.x, p3.y
+    dists = _pair_distances(x0, y0, x1, y1, x2, y2, x3, y3)
     d_max = max(dists)
     if not _TINY <= d_max <= _HUGE:
-        xs, ys = _rescaled(xs, ys, d_max)
-        dists = _pair_distances(xs, ys)
+        (x0, x1, x2, x3), (y0, y1, y2, y3) = _rescaled([x0, x1, x2, x3], [y0, y1, y2, y3], d_max)
+        dists = _pair_distances(x0, y0, x1, y1, x2, y2, x3, y3)
         d_max = max(dists)
     limit = d_max * (1.0 - e)
+    low = 0.5 - e
 
-    z = [complex(x, y) for x, y in zip(xs, ys)]
+    z = (complex(x0, y0), complex(x1, y1), complex(x2, y2), complex(x3, y3))
     best: tuple[float, ...] | None = None
     for (i, j, k, m), dist in zip(_PAIR_SPLITS, dists):
         if dist < limit:
@@ -185,27 +156,54 @@ def normalize_quad(q: Quadrilateral, tol: Tolerance = DEFAULT_TOL) -> QuadNormal
             den = z[dst] - z[src]
             w1 = (z[k] - z[src]) / den
             w2 = (z[m] - z[src]) / den
-            for lx, ly, tx, ty in _leading_choices(w1.real, w1.imag, w2.real, w2.imag, e):
-                # the four reflections fixing the anchor pair
-                for cx, cy, dx, dy in (
-                    (lx, ly, tx, ty),
-                    (1.0 - lx, ly, 1.0 - tx, ty),
-                    (lx, -ly, tx, -ty),
-                    (1.0 - lx, -ly, 1.0 - tx, -ty),
-                ):
-                    if cx < 0.5 - e or cy < -e:
-                        continue
-                    # reflect-normalized images first, raw coordinates last
-                    key = (
-                        0.5 + abs(cx - 0.5), abs(cy), 0.5 + abs(dx - 0.5), abs(dy),
-                        cx, cy, dx, dy,
-                    )
-                    if best is None:
-                        best = key
-                        continue
-                    order = _key_cmp(key, best, e)
-                    if order > 0 or (order == 0 and key > best):
-                        best = key
+            u1, v1, u2, v2 = w1.real, w1.imag, w2.real, w2.imag
+            # the lead claims the c slot; ties admit both orders
+            f1 = abs(u1 - 0.5)
+            f2 = abs(u2 - 0.5)
+            if f1 > f2 + e:
+                leads = ((u1, v1, u2, v2),)
+            elif f2 > f1 + e:
+                leads = ((u2, v2, u1, v1),)
+            elif abs(v1) > abs(v2) + e:
+                leads = ((u1, v1, u2, v2),)
+            elif abs(v2) > abs(v1) + e:
+                leads = ((u2, v2, u1, v1),)
+            else:
+                leads = ((u1, v1, u2, v2), (u2, v2, u1, v1))
+            for lx, ly, tx, ty in leads:
+                # the reflections that put the lead at y >= -eps, x >= 1/2 - eps;
+                # at least one side of x = 1/2 always passes
+                if ly > e:
+                    flips = ((ly, ty),)
+                elif ly < -e:
+                    flips = ((-ly, -ty),)
+                else:
+                    flips = ((ly, ty), (-ly, -ty))
+                rx = 1.0 - lx
+                if rx < low:
+                    mirrors = ((lx, tx),)
+                elif lx < low:
+                    mirrors = ((rx, 1.0 - tx),)
+                else:
+                    mirrors = ((lx, tx), (rx, 1.0 - tx))
+                ay = abs(ly)
+                aty = abs(ty)
+                for cy, dy in flips:
+                    for cx, dx in mirrors:
+                        # reflect-normalized images first, raw coordinates last
+                        key = (0.5 + abs(cx - 0.5), ay, 0.5 + abs(dx - 0.5), aty, cx, cy, dx, dy)
+                        if best is None:
+                            best = key
+                            continue
+                        for a, b in zip(key, best):
+                            if a > b + e:
+                                best = key
+                                break
+                            if a < b - e:
+                                break
+                        else:
+                            if key > best:
+                                best = key
     return QuadNormalForm(Point(best[4], best[5]), Point(best[6], best[7]))
 
 

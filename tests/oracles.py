@@ -22,7 +22,6 @@ from simnorm import (
 )
 from simnorm.errors import DegenerateSegment, UnboundedType
 from simnorm.geometry import _HUGE, _TINY, _rescaled
-from simnorm.quads import _key_cmp, _reflection_images
 from simnorm.triangles import TriangleClass, _classify
 
 _X_AXIS_REFLECT = SimilarityTransform(reflect=True)
@@ -141,6 +140,33 @@ def exact_smallest_angle(a: float, b: float, c: float) -> float:
             Decimal(den.numerator) / Decimal(den.denominator)
         )
     return math.atan(float(tangent))
+
+
+def _reflection_images(p: Point) -> tuple[Point, Point, Point, Point]:
+    """Images of p under the four reflections fixing the anchor pair."""
+    return (
+        p,
+        Point(1.0 - p.x, p.y),
+        Point(p.x, -p.y),
+        Point(1.0 - p.x, -p.y),
+    )
+
+
+def _key_cmp(a: tuple[float, ...], b: tuple[float, ...], e: float) -> int:
+    """Lexicographic comparison treating components within e as tied.
+
+    Placement arithmetic perturbs coordinates by a few ulps, so raw float
+    comparison of keys would let that noise decide between reflection
+    branches whose folded keys agree; a carried point sitting exactly on a
+    symmetry axis would then canonicalize differently for different vertex
+    orders of the same quadrilateral.
+    """
+    for x, y in zip(a, b):
+        if x > y + e:
+            return 1
+        if x < y - e:
+            return -1
+    return 0
 
 
 def _pointwise_leading_choices(c1: Point, c2: Point, e: float) -> list[tuple[Point, Point]]:

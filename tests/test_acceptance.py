@@ -24,7 +24,7 @@ from helpers import (
     repeated_vertex_triangle,
 )
 from figchecks import check_figure
-from oracles import quads_similar_bruteforce
+from oracles import _reflection_images, quads_similar_bruteforce
 from simnorm import (
     ANCHOR_A,
     ANCHOR_B,
@@ -57,7 +57,6 @@ from simnorm import (
     triangles_similar,
 )
 from simnorm.cli import main
-from simnorm.quads import _reflection_images
 
 ONE_POINT_KINDS = (FormKind.C_VERTEX, FormKind.B_VERTEX, FormKind.A_VERTEX)
 PIPELINES = (c_normal_point, b_normal_point, a_normal_point)

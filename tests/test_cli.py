@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import random
 import re
 import subprocess
@@ -517,6 +518,27 @@ def test_closed_stdout_exits_4_without_traceback(tmp_path):
         stderr=subprocess.PIPE,
     )
     assert json.loads(proc.stdout.readline())["normal_point"] == [0.64, 0.48]
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 4
+    assert err.startswith("error: BrokenPipeError: "), err
+    assert "Traceback" not in err
+
+
+def test_closed_unbuffered_stdout_exits_4_in_text_mode(tmp_path):
+    # unbuffered, one large write would end short when the reader leaves,
+    # and the rest of the text would be lost without an error
+    batch = tmp_path / "batch.txt"
+    batch.write_text("sides 3 4 5\n" * 5000, encoding="utf-8")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "simnorm", "normalize", "--batch", str(batch)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONUNBUFFERED": "1"},
+    )
+    assert proc.stdout.readline() == b"command: normalize\n"
+    assert proc.stdout.readline() == b"form_kind: c\n"
     proc.stdout.close()
     err = proc.stderr.read().decode()
     proc.stderr.close()

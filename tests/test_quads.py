@@ -7,7 +7,7 @@ import random
 import pytest
 
 from helpers import apply_to_quad, permuted_quad, rand_quad, rand_transform
-from oracles import pointwise_normalize_quad, quads_similar_bruteforce
+from oracles import _reflection_images, pointwise_normalize_quad, quads_similar_bruteforce
 from simnorm import (
     ANCHOR_A,
     ANCHOR_B,
@@ -25,7 +25,6 @@ from simnorm import (
     reflection_orbit_type_count,
 )
 from simnorm import quads
-from simnorm.quads import _reflection_images
 
 TOL = Tolerance(1e-9)
 
@@ -160,6 +159,55 @@ def _oracle_quads():
 def test_normal_form_is_bit_identical_to_the_pointwise_oracle():
     for q in _oracle_quads():
         assert repr(normalize_quad(q)) == repr(pointwise_normalize_quad(q)), q
+
+
+def _axis_quads(eps):
+    """Quads in the anchor frame whose carried points sit on x = 1/2 or y = 0,
+    or 0.5, 1 or 2 eps off them.
+
+    Symmetric shapes put both carried points near an axis at once; the last
+    shape puts only the lead there, so that its image across the x-axis can
+    win on the trail.
+    """
+    for off in (0.0, 0.5 * eps, eps, 2.0 * eps):
+        for s in (1.0, -1.0):
+            # kites across the x-axis: near the midline, and nearly flat
+            yield ((0.0, 0.0), (1.0, 0.0), (0.5 + s * off, 0.25), (0.5 + s * off, -0.25))
+            yield ((0.0, 0.0), (1.0, 0.0), (0.75, s * off), (0.75, -s * off))
+            # isosceles trapezoids across x = 1/2: nearly flat, and nearly a kite
+            yield ((0.0, 0.0), (1.0, 0.0), (0.75, s * off), (0.25, s * off))
+            yield ((0.0, 0.0), (1.0, 0.0), (0.5 + s * off, 0.25), (0.5 - s * off, 0.25))
+            # rectangles placed by a diagonal: carried points off y = 0 by about
+            # the height, and off x = 1/2 by about half the excess over a square
+            yield ((0.0, 0.0), (1.0, 0.0), (1.0, s * off), (0.0, s * off))
+            yield ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0 + 2.0 * s * off), (0.0, 1.0 + 2.0 * s * off))
+            # no symmetry: the lead near y = 0, the trail far below it
+            yield ((0.0, 0.0), (1.0, 0.0), (0.875, s * off), (0.375, -s * 0.25))
+
+
+def _dyadic_similarity(rng):
+    """z -> a z + b or a conj(z) + b with a a power of two times a power of i,
+    and b on a 1/8 grid: exact on the anchor frame's coordinates up to b."""
+    a = complex(0.0, 1.0) ** rng.randrange(4) * 2.0 ** rng.randrange(-3, 4)
+    b = complex(rng.randrange(-16, 17), rng.randrange(-16, 17)) / 8.0 if rng.random() < 0.5 else 0j
+    flip = rng.random() < 0.5
+
+    def move(x, y):
+        z = a * complex(x, -y if flip else y) + b
+        return (z.real, z.imag)
+
+    return move
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-4])
+def test_axis_folds_match_the_pointwise_oracle(eps):
+    tol = Tolerance(eps)
+    rng = random.Random(611)
+    for coords in _axis_quads(eps):
+        move = _dyadic_similarity(rng)
+        for perm in itertools.permutations(move(x, y) for x, y in coords):
+            q = quad(*perm)
+            assert repr(normalize_quad(q, tol)) == repr(pointwise_normalize_quad(q, tol)), q
 
 
 def test_normalize_quad_builds_only_the_result_points(monkeypatch):
