@@ -13,7 +13,6 @@ Exit codes: 0 success, 2 parse or validation error, 3 domain error
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -33,6 +32,7 @@ from .triangles import (
     FormKind,
     SideLengths,
     Triangle,
+    _check_shortest_side,
     _classify,
     _one_vertex_point,
     _rank,
@@ -73,9 +73,22 @@ class ReportRecord(_Value):
         quad_d=None, in_domain=None, angle_class=None, side_class=None, angles=None,
         side_ratios=None, degenerate=None, similar=None, key_a=None, key_b=None, outputs=None,
     ) -> None:
-        values = locals()
-        for name in self.__slots__:
-            _set(self, name, values[name])
+        _set(self, "command", command)
+        _set(self, "form_kind", form_kind)
+        _set(self, "normal_point", normal_point)
+        _set(self, "circle_vertices", circle_vertices)
+        _set(self, "quad_c", quad_c)
+        _set(self, "quad_d", quad_d)
+        _set(self, "in_domain", in_domain)
+        _set(self, "angle_class", angle_class)
+        _set(self, "side_class", side_class)
+        _set(self, "angles", angles)
+        _set(self, "side_ratios", side_ratios)
+        _set(self, "degenerate", degenerate)
+        _set(self, "similar", similar)
+        _set(self, "key_a", key_a)
+        _set(self, "key_b", key_b)
+        _set(self, "outputs", outputs)
 
     def to_dict(self) -> dict:
         """The set fields in field order; tuples stay tuples, which json writes as arrays."""
@@ -104,23 +117,46 @@ def _format_value(value) -> str:
     return str(value)
 
 
-# one encoder for every record; json.dumps would build one per call
-_encode_json = json.JSONEncoder(sort_keys=True).encode
+# the most a write carries: PIPE_BUF on Linux
+_BLOCK = 4096
 
 
 def _emit(records: list[ReportRecord], fmt: str) -> None:
     if fmt == "structured":
-        for rec in records:
-            sys.stdout.write(_encode_json(rec.to_dict()) + "\n")
-        return
-    # one write per record, as in structured mode: an unbuffered stdout hands
-    # a large write to one os.write, and a reader that leaves mid-write makes
-    # it return short with no error, so the rest would vanish silently
-    sep = ""
-    for rec in records:
-        lines = [f"{k}: {_format_value(v)}" for k, v in rec.to_dict().items()]
-        sys.stdout.write(sep + "\n".join(lines) + "\n")
-        sep = "\n"
+        # imported here, so that text output never loads json; one encoder
+        # for all records, and records hold only str, bool, float and tuples
+        # of these, so they cannot contain a cycle
+        import json
+
+        encode = json.JSONEncoder(sort_keys=True, check_circular=False).encode
+        chunks = (encode(rec.to_dict()) + "\n" for rec in records)
+    else:
+        # a blank line between records
+        chunks = (
+            ("\n" if i else "")
+            + "\n".join([f"{k}: {_format_value(v)}" for k, v in rec.to_dict().items()])
+            + "\n"
+            for i, rec in enumerate(records)
+        )
+    # The chunks are made one at a time, so no more than a block of text is
+    # held.  Whole records go out in blocks of at most _BLOCK characters,
+    # which are bytes for the ASCII records a batch writes; a longer record
+    # goes out on its own.  An unbuffered stdout hands each write to one os.write.  On a
+    # pipe, a write of up to PIPE_BUF bytes is atomic, so a reader that leaves
+    # makes it fail with EPIPE (exit 4) and never return short with the rest
+    # of the block lost silently, as one large write would.
+    write = sys.stdout.write
+    block = []
+    size = 0
+    for chunk in chunks:
+        if size + len(chunk) > _BLOCK and block:
+            write("".join(block))
+            block = []
+            size = 0
+        block.append(chunk)
+        size += len(chunk)
+    if block:
+        write("".join(block))
 
 
 # a shape is what the library takes: 3 or 4 vertices, or side lengths
@@ -169,19 +205,21 @@ def _arity(shape: _Shape) -> int:
     return 3 if isinstance(shape, SideLengths) else len(shape)
 
 
-def _triangle_parts(shape: _Shape) -> tuple[tuple | None, SideLengths, Point]:
-    """The sorted sides (None for side lengths), the side lengths and the c point.
+def _triangle_parts(shape: _Shape) -> tuple[tuple | None, tuple[float, float, float], Point]:
+    """The sorted sides (None for side lengths), the lengths a <= b <= c and the c point.
 
     A point triangle gets all three from one side pass, which the record
-    reuses for the a and b forms.
+    reuses for the a and b forms.  Its lengths stay plain floats: a side
+    pass yields finite, sorted, positive lengths, so a SideLengths built
+    from them would only repeat checks that cannot fail.
     """
     if isinstance(shape, SideLengths):
-        return None, shape, normal_point_from_sides(FormKind.C_VERTEX, shape)
+        return None, (shape.a, shape.b, shape.c), normal_point_from_sides(FormKind.C_VERTEX, shape)
     if len(shape) != 3:
         raise ArityMismatch(f"expected a triangle, got {len(shape)} points")
     sides = _side_pass(Triangle(shape))
     lo, mid, hi = sides
-    return sides, SideLengths(lo[0], mid[0], hi[0]), _one_vertex_point(sides, 2, DEFAULT_TOL)
+    return sides, (lo[0], mid[0], hi[0]), _one_vertex_point(sides, 2, DEFAULT_TOL)
 
 
 def _angles_out(values: tuple[float, float, float], degrees: bool):
@@ -197,13 +235,14 @@ def _point_pair(p: Point) -> tuple[float, float]:
 def _triangle_record(
     command: str, shape: _Shape, kind: FormKind, tol: Tolerance, degrees: bool
 ) -> ReportRecord:
-    sides, s, pc = _triangle_parts(shape)
-    cls = _classify(pc, s.a, s.b, s.c, tol)
+    sides, (a, b, c), pc = _triangle_parts(shape)
+    cls = _classify(pc, a, b, c, tol)
+    ratios = (a / c, b / c, 1.0)
     ang = _point_angles(pc, tol)
     angles = None if ang is DEGENERATE else _angles_out(ang.as_tuple(), degrees)
     if kind is FormKind.CIRCLE:
         if ang is DEGENERATE:
-            raise DegenerateAngles(f"sides {(s.a, s.b, s.c)!r} describe a degenerate triangle")
+            raise DegenerateAngles(f"sides {(a, b, c)!r} describe a degenerate triangle")
         ref = circle_normal_form(ang)
         return ReportRecord(
             command=command,
@@ -212,14 +251,17 @@ def _triangle_record(
             angle_class=cls.angle_class.value,
             side_class=cls.side_class.value,
             angles=angles,
-            side_ratios=s.ratios(),
+            side_ratios=ratios,
         )
     if kind is FormKind.C_VERTEX:
         p = pc
     elif sides is not None:
         p = _one_vertex_point(sides, _rank(kind), tol)
     else:
-        p = normal_point_from_sides(kind, s)
+        if kind is FormKind.A_VERTEX:
+            # the limit a point triangle meets in _one_vertex_point
+            _check_shortest_side(a, c, tol)
+        p = normal_point_from_sides(kind, shape)
     return ReportRecord(
         command=command,
         form_kind=kind.value,
@@ -228,7 +270,7 @@ def _triangle_record(
         angle_class=cls.angle_class.value,
         side_class=cls.side_class.value,
         angles=angles,
-        side_ratios=s.ratios(),
+        side_ratios=ratios,
         degenerate=True if angles is None else None,
     )
 
@@ -257,7 +299,7 @@ def _batch_shapes(path: str, degrees: bool) -> list[tuple[int, _Shape]]:
                 continue
             tag, *rest = line.split()
             try:
-                shapes.append((lineno, _shape(tag, [float(tok) for tok in rest], degrees)))
+                shapes.append((lineno, _shape(tag, list(map(float, rest)), degrees)))
             except (GeometryError, ValueError) as exc:
                 raise type(exc)(f"line {lineno}: {exc}") from exc
     return shapes

@@ -48,8 +48,7 @@ class Quadrilateral(_Value):
     vertices: tuple[Point, Point, Point, Point]
 
     def __init__(self, vertices: tuple[Point, Point, Point, Point]) -> None:
-        first = vertices[0]
-        if all(v == first for v in vertices[1:]):
+        if vertices.count(vertices[0]) == 4:
             raise DegenerateQuad("quadrilateral needs at least two distinct vertices")
         _set(self, "vertices", vertices)
 

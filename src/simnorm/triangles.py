@@ -224,6 +224,16 @@ def _side_pass(t: Triangle) -> tuple[_Side, _Side, _Side]:
     return sides
 
 
+def _check_shortest_side(a: float, c: float, tol: Tolerance) -> None:
+    """Raise UnboundedType when the shortest side a is within eps of zero, relative to c.
+
+    The one test of the shortest-side form's limit, whichever route the
+    side lengths come from.
+    """
+    if a <= tol.eps * c:
+        raise UnboundedType("side lengths of type (0, c, c) have no finite shortest-side form")
+
+
 def _one_vertex_point(sides: tuple[_Side, _Side, _Side], rank: int, tol: Tolerance) -> Point:
     """Closed-form placement behind the three one-vertex forms.
 
@@ -236,8 +246,8 @@ def _one_vertex_point(sides: tuple[_Side, _Side, _Side], rank: int, tol: Toleran
     triangles far from unit size are placed on an exactly rescaled copy and
     every finite scale gives the same point.
     """
-    if rank == 0 and sides[0][0] <= tol.eps * sides[2][0]:
-        raise UnboundedType("side lengths of type (0, c, c) have no finite shortest-side form")
+    if rank == 0:
+        _check_shortest_side(sides[0][0], sides[2][0], tol)
     _, dx, dy, fx, fy = sides[rank]
     w = complex(fx, fy) / complex(dx, dy)
     x = w.real

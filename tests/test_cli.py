@@ -10,9 +10,13 @@ import sys
 
 import pytest
 
+import simnorm
 from figchecks import check_figure, markers_by_class
-from simnorm import Point, Quadrilateral, Triangle, c_normal_point, normalize_quad
-from simnorm.cli import ReportRecord, main
+from helpers import rand_angles, rand_quad, rand_triangle
+from simnorm import (
+    Point, Quadrilateral, SideLengths, Triangle, c_normal_point, distance, normalize_quad
+)
+from simnorm.cli import ReportRecord, _emit, main
 
 
 def run(capsys, *argv):
@@ -151,6 +155,24 @@ def test_triangle_record_takes_three_side_lengths(capsys, monkeypatch):
         calls.clear()
         run_json(capsys, "normalize", "--points", "0,0", "3,0", "0,4", "--kind", kind)
         assert len(calls) == 3, kind
+
+
+def test_point_triangle_record_builds_no_side_lengths(capsys, monkeypatch):
+    made = []
+    real_init = SideLengths.__init__
+
+    def counting_init(self, a, b, c):
+        made.append((a, b, c))
+        real_init(self, a, b, c)
+
+    monkeypatch.setattr(SideLengths, "__init__", counting_init)
+    for kind in ("a", "b", "c", "circle"):
+        run_json(capsys, "normalize", "--points", "0,0", "3,0", "0,4", "--kind", kind)
+    run_json(capsys, "normalize", "--points", "0,0", "1,0", "2,0")
+    assert made == []
+    # the count sees the SideLengths a sides line is parsed into
+    run_json(capsys, "normalize", "--sides", "3", "4", "5")
+    assert made == [(3.0, 4.0, 5.0)]
 
 
 def test_degrees_flag_converts_both_ways(capsys):
@@ -294,6 +316,37 @@ def test_shortest_side_form_overflow_under_tiny_eps_exit_code(capsys):
     assert "error: UnboundedType" in err
 
 
+def _isosceles_routes(a):
+    """The triangle with sides (a, 1, 1) as vertices, as side lengths and as angles."""
+    alpha = 2.0 * math.asin(a / 2.0)
+    beta = (math.pi - alpha) / 2.0
+    return (
+        ["--points", "0,0", f"{a!r},0", f"{a / 2.0!r},{math.sqrt(1.0 - a * a / 4.0)!r}"],
+        ["--sides", repr(a), "1", "1"],
+        ["--angles", repr(alpha), repr(beta), repr(beta)],
+    )
+
+
+def test_shortest_side_limit_is_the_same_on_every_route(capsys):
+    # the shortest-side form stops at a <= eps * c, whatever the input route
+    for flags in _isosceles_routes(1e-10):
+        code, out, err = run(capsys, "normalize", *flags, "--kind", "a")
+        assert code == 3, flags
+        assert out == ""
+        assert err.startswith("error: UnboundedType: "), err
+    records = [
+        run_json(capsys, "normalize", *flags, "--kind", "a")[0] for flags in _isosceles_routes(1e-6)
+    ]
+    assert records[0]["normal_point"] == pytest.approx([0.5, 1e6], rel=1e-9)
+    for rec in records[1:]:
+        assert rec.keys() == records[0].keys()
+        for key, value in rec.items():
+            if isinstance(value, list):
+                assert value == pytest.approx(records[0][key], rel=1e-9), key
+            else:
+                assert value == records[0][key], key
+
+
 def test_bad_point_token_exit_code(capsys):
     code, _, err = run(capsys, "normalize", "--points", "0", "1", "2")
     assert code == 2
@@ -417,6 +470,85 @@ def test_batch_missing_file_exit_code(capsys):
     assert code == 4
 
 
+def _mixed_batch(rng, n):
+    """n batch lines: side lengths, angles, triangles (some collinear or with a repeated vertex) and quads."""
+    lines = []
+    for _ in range(n):
+        roll = rng.random()
+        if roll < 0.25:
+            u, v, w = rand_triangle(rng).vertices
+            lines.append(f"sides {distance(u, v)!r} {distance(u, w)!r} {distance(v, w)!r}")
+        elif roll < 0.35:
+            lines.append("angles " + " ".join(map(repr, rand_angles(rng))))
+        elif roll < 0.7:
+            t = rand_triangle(rng, degenerate_fraction=0.1, repeat_fraction=0.05)
+            lines.append("points " + " ".join(f"{p.x!r} {p.y!r}" for p in t.vertices))
+        else:
+            q = rand_quad(rng, special_fraction=0.1)
+            lines.append("points " + " ".join(f"{p.x!r} {p.y!r}" for p in q.vertices))
+    return "\n".join(lines) + "\n"
+
+
+def test_structured_batch_lines_are_canonical_json(tmp_path, capsys):
+    batch = tmp_path / "batch.txt"
+    batch.write_text(_mixed_batch(random.Random(1409), 2000), encoding="utf-8")
+    code, out, err = run(capsys, "normalize", "--batch", str(batch), "--format", "structured")
+    assert code == 0, err
+    lines = out.split("\n")
+    assert lines.pop() == ""
+    assert len(lines) == 2000
+    for line in lines:
+        assert line == json.dumps(json.loads(line), sort_keys=True)
+
+
+class _Recorder:
+    """A stdout that keeps each write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_batch_writes_whole_records_in_pipe_sized_blocks(tmp_path, capsys, monkeypatch):
+    batch = tmp_path / "batch.txt"
+    batch.write_text(_mixed_batch(random.Random(1410), 2000), encoding="utf-8")
+    for fmt in ("structured", "text"):
+        code, expected, err = run(capsys, "normalize", "--batch", str(batch), "--format", fmt)
+        assert code == 0, err
+        recorder = _Recorder()
+        monkeypatch.setattr(sys, "stdout", recorder)
+        assert main(["normalize", "--batch", str(batch), "--format", fmt]) == 0
+        monkeypatch.undo()
+        writes = recorder.writes
+        assert "".join(writes) == expected
+        assert all(len(w) <= 4096 for w in writes), fmt
+        assert len(writes) < 2000 / 2, fmt
+        # every block ends a record, and in text the next one starts with the blank line
+        assert all(w.endswith("\n") for w in writes), fmt
+        if fmt == "text":
+            assert writes[0].startswith("command: ")
+            assert all(w.startswith("\ncommand: ") for w in writes[1:])
+
+
+def test_emit_writes_a_long_record_on_its_own(monkeypatch):
+    small = ReportRecord(command="domains", outputs=("a.svg",))
+    long = ReportRecord(command="domains", outputs=("x" * 5000,))
+    for fmt in ("structured", "text"):
+        recorder = _Recorder()
+        monkeypatch.setattr(sys, "stdout", recorder)
+        _emit([small, long, small], fmt)
+        monkeypatch.undo()
+        assert len(recorder.writes) == 3
+        assert "x" * 5000 in recorder.writes[1]
+        assert len(recorder.writes[0]) < 100 and len(recorder.writes[2]) < 100
+
+
 # file outputs
 
 
@@ -508,6 +640,19 @@ def test_cli_import_leaves_figures_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_cli_import_leaves_json_unloaded():
+    # json is imported on the first structured emit; -S keeps site hooks from loading it
+    src = os.path.dirname(os.path.dirname(simnorm.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, simnorm.cli; print('json' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_closed_stdout_exits_4_without_traceback(tmp_path):
     # the records fill the pipe, so the reader leaves while simnorm still writes
     batch = tmp_path / "batch.txt"
@@ -539,6 +684,25 @@ def test_closed_unbuffered_stdout_exits_4_in_text_mode(tmp_path):
     )
     assert proc.stdout.readline() == b"command: normalize\n"
     assert proc.stdout.readline() == b"form_kind: c\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 4
+    assert err.startswith("error: BrokenPipeError: "), err
+    assert "Traceback" not in err
+
+
+def test_closed_unbuffered_stdout_exits_4_in_structured_mode(tmp_path):
+    # unbuffered, each block is one os.write, which a pipe takes whole or not at all
+    batch = tmp_path / "batch.txt"
+    batch.write_text("sides 3 4 5\n" * 5000, encoding="utf-8")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "simnorm", "normalize", "--batch", str(batch), "--format", "structured"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONUNBUFFERED": "1"},
+    )
+    assert json.loads(proc.stdout.readline())["normal_point"] == [0.64, 0.48]
     proc.stdout.close()
     err = proc.stderr.read().decode()
     proc.stderr.close()
