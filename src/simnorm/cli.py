@@ -34,7 +34,8 @@ from .triangles import (
     Triangle,
     _check_shortest_side,
     _classify,
-    _one_vertex_point,
+    _lengths,
+    _place,
     _rank,
     _side_pass,
     circle_normal_form,
@@ -206,20 +207,19 @@ def _arity(shape: _Shape) -> int:
 
 
 def _triangle_parts(shape: _Shape) -> tuple[tuple | None, tuple[float, float, float], Point]:
-    """The sorted sides (None for side lengths), the lengths a <= b <= c and the c point.
+    """The side pass (None for side lengths), the lengths a <= b <= c and the c point.
 
     A point triangle gets all three from one side pass, which the record
     reuses for the a and b forms.  Its lengths stay plain floats: a side
-    pass yields finite, sorted, positive lengths, so a SideLengths built
-    from them would only repeat checks that cannot fail.
+    pass yields finite, nonnegative lengths, so a SideLengths built from
+    them would only repeat checks that cannot fail.
     """
     if isinstance(shape, SideLengths):
         return None, (shape.a, shape.b, shape.c), normal_point_from_sides(FormKind.C_VERTEX, shape)
     if len(shape) != 3:
         raise ArityMismatch(f"expected a triangle, got {len(shape)} points")
     sides = _side_pass(Triangle(shape))
-    lo, mid, hi = sides
-    return sides, (lo[0], mid[0], hi[0]), _one_vertex_point(sides, 2, DEFAULT_TOL)
+    return sides, _lengths(sides), Point(*_place(sides, 2, DEFAULT_TOL))
 
 
 def _angles_out(values: tuple[float, float, float], degrees: bool):
@@ -236,7 +236,7 @@ def _triangle_record(
     command: str, shape: _Shape, kind: FormKind, tol: Tolerance, degrees: bool
 ) -> ReportRecord:
     sides, (a, b, c), pc = _triangle_parts(shape)
-    cls = _classify(pc, a, b, c, tol)
+    cls = _classify(pc.x, pc.y, a, b, c, tol)
     ratios = (a / c, b / c, 1.0)
     ang = _point_angles(pc, tol)
     angles = None if ang is DEGENERATE else _angles_out(ang.as_tuple(), degrees)
@@ -256,10 +256,10 @@ def _triangle_record(
     if kind is FormKind.C_VERTEX:
         p = pc
     elif sides is not None:
-        p = _one_vertex_point(sides, _rank(kind), tol)
+        p = Point(*_place(sides, _rank(kind), tol))
     else:
         if kind is FormKind.A_VERTEX:
-            # the limit a point triangle meets in _one_vertex_point
+            # the limit a point triangle meets in _place
             _check_shortest_side(a, c, tol)
         p = normal_point_from_sides(kind, shape)
     return ReportRecord(
@@ -357,6 +357,9 @@ def _cmd_convert(args, tol: Tolerance) -> list[ReportRecord]:
                 )
             ]
         s = sides_from_angles(recovered, kind)
+        if kind is FormKind.A_VERTEX:
+            # far up the unbounded region: the limit the other routes meet
+            _check_shortest_side(s.a, s.c, tol)
         return [
             ReportRecord(
                 command="convert",

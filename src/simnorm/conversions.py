@@ -116,14 +116,17 @@ def _point_angles(p: Point, tol: Tolerance) -> AngleTriple | _DegenerateMarker:
 
     For normal points computed by this package: rounding can leave them a
     few ulps outside their region, which an eps below 1e-16 detects.  The
-    angles at both anchors and their complement to pi, sorted by
-    AngleTriple, are the same for every form.
+    angles at both anchors and at p, sorted by AngleTriple, are the same for
+    every form.  The angle at p comes from the cross product |y| and the dot
+    product x(x - 1) + y^2 of the rays from p to the anchors, not as the
+    complement to pi, which cancels when that angle is tiny.
     """
     if abs(p.y) <= tol.eps:
         return DEGENERATE
     at_origin = math.atan2(p.y, p.x)
     at_unit = math.atan2(p.y, 1.0 - p.x)
-    return AngleTriple(at_origin, at_unit, math.pi - at_origin - at_unit)
+    at_p = math.atan2(abs(p.y), p.x * (p.x - 1.0) + p.y * p.y)
+    return AngleTriple(at_origin, at_unit, at_p)
 
 
 def angles_from_sides(s: SideLengths, tol: Tolerance = DEFAULT_TOL) -> AngleTriple:

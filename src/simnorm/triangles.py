@@ -70,6 +70,12 @@ class TriangleClass(_Value):
         _set(self, "side_class", side_class)
 
 
+# the 12 classes, shared like enum members: a row per angle class, in SideClass order
+_ACUTE_CLASSES, _RIGHT_CLASSES, _OBTUSE_CLASSES, _DEGENERATE_CLASSES = (
+    tuple(TriangleClass(angle, side) for side in SideClass) for angle in AngleClass
+)
+
+
 class Triangle(_Value):
     """Multiset of three vertices; at most one repeated point allowed."""
 
@@ -173,89 +179,90 @@ def triangle_from_sides(s: SideLengths) -> Triangle:
     return Triangle((ORIGIN, Point(s.c, 0.0), Point(s.c * p.x, s.c * p.y)))
 
 
-# A side of a triangle as (length, dx, dy, fx, fy): the side runs from its
-# anchor vertex z_i to z_j = z_i + (dx + i dy), and the free vertex sits at
-# z_i + (fx + i fy).
-_Side = tuple[float, float, float, float, float]
+_Sides = tuple[float, float, float, float, float, float, float, float, float]
 
 
-def _sorted_sides(
-    x0: float, y0: float, x1: float, y1: float, x2: float, y2: float
-) -> tuple[_Side, _Side, _Side]:
-    """The sides of the triangle (x0, y0), (x1, y1), (x2, y2), shortest first.
+def _side_pass(t: Triangle) -> _Sides:
+    """The sides of t = (z0, z1, z2), from one read of its six coordinates.
 
-    The sides are (0, 1), (0, 2) and (1, 2), each anchored at its lower
-    vertex; their three coordinate differences are taken once and shared.
-    Three compare-exchanges of adjacent entries sort the sides stably, so
-    equal lengths stay in that order.
-    """
-    dx01 = x1 - x0
-    dy01 = y1 - y0
-    dx02 = x2 - x0
-    dy02 = y2 - y0
-    dx12 = x2 - x1
-    dy12 = y2 - y1
-    lo = (math.hypot(dx01, dy01), dx01, dy01, dx02, dy02)
-    mid = (math.hypot(dx02, dy02), dx02, dy02, dx01, dy01)
-    # z_0 - z_1 is -(z_1 - z_0) exactly
-    hi = (math.hypot(dx12, dy12), dx12, dy12, -dx01, -dy01)
-    if lo[0] > mid[0]:
-        lo, mid = mid, lo
-    if mid[0] > hi[0]:
-        mid, hi = hi, mid
-        if lo[0] > mid[0]:
-            lo, mid = mid, lo
-    return lo, mid, hi
-
-
-def _side_pass(t: Triangle) -> tuple[_Side, _Side, _Side]:
-    """The sorted sides of a triangle, from one read of its six coordinates.
-
-    When the longest side lies outside [2**-969, 2**960], the vertices are
-    first rescaled by one exact power of two, and the sides returned are
-    those of the rescaled copy.
+    They are the lengths of (0, 1), (0, 2) and (1, 2), then z1 - z0, z2 - z0
+    and z2 - z1 as (dx, dy) pairs.  When the longest side lies outside
+    [2**-969, 2**960], the vertices are first rescaled by one exact power of
+    two, and the sides are those of the rescaled copy.
     """
     p0, p1, p2 = t.vertices
-    sides = _sorted_sides(p0.x, p0.y, p1.x, p1.y, p2.x, p2.y)
-    longest = sides[2][0]
-    if not _TINY <= longest <= _HUGE:
-        xs, ys = _rescaled([p0.x, p1.x, p2.x], [p0.y, p1.y, p2.y], longest)
-        sides = _sorted_sides(xs[0], ys[0], xs[1], ys[1], xs[2], ys[2])
-    return sides
+    x0, y0, x1, y1, x2, y2 = p0.x, p0.y, p1.x, p1.y, p2.x, p2.y
+    rescaled = False
+    while True:
+        dx01, dy01 = x1 - x0, y1 - y0
+        dx02, dy02 = x2 - x0, y2 - y0
+        dx12, dy12 = x2 - x1, y2 - y1
+        l01 = math.hypot(dx01, dy01)
+        l02 = math.hypot(dx02, dy02)
+        l12 = math.hypot(dx12, dy12)
+        longest = l01 if l01 >= l02 else l02
+        if l12 > longest:
+            longest = l12
+        if _TINY <= longest <= _HUGE or rescaled:
+            return l01, l02, l12, dx01, dy01, dx02, dy02, dx12, dy12
+        # at most one more pass: a capped rescale can leave the copy outside
+        rescaled = True
+        (x0, x1, x2), (y0, y1, y2) = _rescaled([x0, x1, x2], [y0, y1, y2], longest)
+
+
+def _lengths(sides: _Sides) -> tuple[float, float, float]:
+    """The three side lengths of a side pass, sorted ascending."""
+    a, b, c = sides[0], sides[1], sides[2]
+    if a > b:
+        a, b = b, a
+    if b > c:
+        b, c = c, b
+        if a > b:
+            a, b = b, a
+    return a, b, c
 
 
 def _check_shortest_side(a: float, c: float, tol: Tolerance) -> None:
-    """Raise UnboundedType when the shortest side a is within eps of zero, relative to c.
-
-    The one test of the shortest-side form's limit, whichever route the
-    side lengths come from.
-    """
+    """Raise UnboundedType when a <= eps * c: the shortest-side form's limit on every route."""
     if a <= tol.eps * c:
         raise UnboundedType("side lengths of type (0, c, c) have no finite shortest-side form")
 
 
-def _one_vertex_point(sides: tuple[_Side, _Side, _Side], rank: int, tol: Tolerance) -> Point:
+def _place(sides: _Sides, rank: int, tol: Tolerance) -> tuple[float, float]:
     """Closed-form placement behind the three one-vertex forms.
 
-    The side of the requested rank (0 shortest, 2 longest) runs from vertex
-    z_i to z_j; the similarity sending it to (0,0)-(1,0) carries the
-    remaining vertex z_k to w = (z_k - z_i) / (z_j - z_i).  Folding y to |y|
-    reflects across the x-axis, and folding x to max(x, 1 - x) reflects
-    across x = 1/2, which swaps the two anchor vertices and so makes the
-    endpoint order immaterial.  The sides come from _side_pass, so
-    triangles far from unit size are placed on an exactly rescaled copy and
-    every finite scale gives the same point.
+    The sides rank in their stable order (0, 1), (0, 2), (1, 2): the
+    shortest is the first minimum, the longest the last maximum, the median
+    the side that is neither.  The side of the requested rank (0 shortest,
+    2 longest) runs from vertex z_i to z_j; the similarity sending it to
+    (0,0)-(1,0) carries the remaining vertex z_k to
+    w = (z_k - z_i) / (z_j - z_i).  Folding y to |y| reflects across the
+    x-axis, and folding x to max(x, 1 - x) reflects across x = 1/2, which
+    swaps the anchor vertices and so makes the endpoint order immaterial.
+    Triangles far from unit size come rescaled from _side_pass, so every
+    finite scale gives the same point.
     """
-    if rank == 0:
-        _check_shortest_side(sides[0][0], sides[2][0], tol)
-    _, dx, dy, fx, fy = sides[rank]
-    w = complex(fx, fy) / complex(dx, dy)
+    l01, l02, l12, dx01, dy01, dx02, dy02, dx12, dy12 = sides
+    side = hi = 2 if l12 >= l01 and l12 >= l02 else 1 if l02 >= l01 else 0
+    if rank != 2:
+        side = lo = 0 if l01 <= l02 and l01 <= l12 else 1 if l02 <= l12 else 2
+        if rank == 0:
+            _check_shortest_side(sides[lo], sides[hi], tol)
+        else:
+            side = 3 - lo - hi
+    if side == 0:
+        w = complex(dx02, dy02) / complex(dx01, dy01)
+    elif side == 1:
+        w = complex(dx01, dy01) / complex(dx02, dy02)
+    else:
+        # z_0 - z_1 is -(z_1 - z_0) exactly
+        w = complex(-dx01, -dy01) / complex(dx12, dy12)
     x = w.real
     y = abs(w.imag)
     if rank == 0 and not (math.isfinite(x) and math.isfinite(y)):
         # |w| < c / a, so only an eps below 2**-1024 lets w overflow
         raise UnboundedType("the shortest-side form of this triangle leaves the float range")
-    return Point(x if x >= 0.5 else 1.0 - x, y)
+    return (x if x >= 0.5 else 1.0 - x), y
 
 
 def c_normal_point(t: Triangle) -> Point:
@@ -264,7 +271,7 @@ def c_normal_point(t: Triangle) -> Point:
     The longest side becomes the unit segment and the opposite vertex lands
     in the lens {y >= 0, x >= 1/2, x^2 + y^2 <= 1}.
     """
-    return _one_vertex_point(_side_pass(t), 2, DEFAULT_TOL)
+    return Point(*_place(_side_pass(t), 2, DEFAULT_TOL))
 
 
 def b_normal_point(t: Triangle) -> Point:
@@ -274,7 +281,7 @@ def b_normal_point(t: Triangle) -> Point:
     the longest side incident to the origin, so the remaining vertex lands
     in {y >= 0, x >= 1/2, x^2 + y^2 >= 1, (x-1)^2 + y^2 <= 1}.
     """
-    return _one_vertex_point(_side_pass(t), 1, DEFAULT_TOL)
+    return Point(*_place(_side_pass(t), 1, DEFAULT_TOL))
 
 
 def a_normal_point(t: Triangle, tol: Tolerance = DEFAULT_TOL) -> Point:
@@ -285,12 +292,12 @@ def a_normal_point(t: Triangle, tol: Tolerance = DEFAULT_TOL) -> Point:
     side cannot be dilated to unit length.  Such triangles (shortest side
     within tol.eps of zero, relative to the longest) raise UnboundedType.
     """
-    return _one_vertex_point(_side_pass(t), 0, tol)
+    return Point(*_place(_side_pass(t), 0, tol))
 
 
 def normal_point(kind: FormKind, t: Triangle, tol: Tolerance = DEFAULT_TOL) -> Point:
     """The one-vertex normal point for the given kind."""
-    return _one_vertex_point(_side_pass(t), _rank(kind), tol)
+    return Point(*_place(_side_pass(t), _rank(kind), tol))
 
 
 def in_c_domain(p: Point, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -368,37 +375,28 @@ def is_normal_circle_triangle(t: Triangle, tol: Tolerance = DEFAULT_TOL) -> bool
         return False
     alpha = _vertex_angle(upper, lower, anchor[0])
     beta = _vertex_angle(lower, upper, anchor[0])
-    if alpha > math.pi / 3.0 + e:
-        return False
-    if beta < alpha - e:
-        return False
-    if beta > math.pi / 2.0 - alpha / 2.0 + e:
-        return False
-    return True
+    return alpha <= math.pi / 3.0 + e and alpha - e <= beta <= math.pi / 2.0 - alpha / 2.0 + e
 
 
-def _classify(p: Point, a: float, b: float, c: float, tol: Tolerance) -> TriangleClass:
-    """Classify by the longest-side normal point p and the sorted side lengths."""
+def _classify(x: float, y: float, a: float, b: float, c: float, tol: Tolerance) -> TriangleClass:
+    """Classify by the longest-side normal point (x, y) and the sorted side lengths."""
     e = tol.eps
-    if p.y <= e:
-        angle = AngleClass.DEGENERATE
+    residual = (x - 0.5) ** 2 + y * y - 0.25
+    if y <= e:
+        row = _DEGENERATE_CLASSES
+    elif abs(residual) <= e:
+        row = _RIGHT_CLASSES
+    elif residual < 0.0:
+        row = _OBTUSE_CLASSES
     else:
-        residual = (p.x - 0.5) ** 2 + p.y * p.y - 0.25
-        if abs(residual) <= e:
-            angle = AngleClass.RIGHT
-        elif residual < 0.0:
-            angle = AngleClass.OBTUSE
-        else:
-            angle = AngleClass.ACUTE
+        row = _ACUTE_CLASSES
     u = a / c
     v = b / c
     if 1.0 - u <= e:
-        side = SideClass.EQUILATERAL
-    elif v - u <= e or 1.0 - v <= e:
-        side = SideClass.ISOSCELES
-    else:
-        side = SideClass.SCALENE
-    return TriangleClass(angle, side)
+        return row[0]
+    if v - u <= e or 1.0 - v <= e:
+        return row[1]
+    return row[2]
 
 
 def classify(t: Triangle, tol: Tolerance = DEFAULT_TOL) -> TriangleClass:
@@ -410,17 +408,18 @@ def classify(t: Triangle, tol: Tolerance = DEFAULT_TOL) -> TriangleClass:
     DEGENERATE.  The angle test compares the squared-radius residual
     (x - 1/2)^2 + y^2 - 1/4 against eps, which for side lengths matches the
     Pythagorean gap a^2 + b^2 - c^2 scaled by 1 / (2 c^2).  The point and
-    the side lengths come from one side pass; far from unit size the lengths
-    are those of the rescaled copy, so they stay finite whenever the
-    coordinates are.
+    the lengths come from one side pass, of the rescaled copy far from unit
+    size, so they stay finite whenever the coordinates are.
     """
-    lo, mid, hi = sides = _side_pass(t)
-    return _classify(_one_vertex_point(sides, 2, tol), lo[0], mid[0], hi[0], tol)
+    sides = _side_pass(t)
+    return _classify(*_place(sides, 2, tol), *_lengths(sides), tol)
 
 
 def triangles_similar(t1: Triangle, t2: Triangle, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Similarity test via the longest-side canonical key."""
-    return c_normal_point(t1).close_to(c_normal_point(t2), tol)
+    """Similarity test via the longest-side canonical key, compared within tol.eps."""
+    x1, y1 = _place(_side_pass(t1), 2, tol)
+    x2, y2 = _place(_side_pass(t2), 2, tol)
+    return abs(x1 - x2) <= tol.eps and abs(y1 - y2) <= tol.eps
 
 
 def equilateral_point() -> Point:

@@ -89,7 +89,8 @@ def list_sort_classify(t: Triangle, tol: Tolerance = DEFAULT_TOL) -> TriangleCla
     """classify from the list-sort c point and the list-sorted side lengths."""
     pairs, _ = _list_sorted_pairs(t)
     a, b, c = (length for length, _ in pairs)
-    return _classify(list_sort_normal_point(t, 2), a, b, c, tol)
+    p = list_sort_normal_point(t, 2)
+    return _classify(p.x, p.y, a, b, c, tol)
 
 
 def _exact_radicand(a: float, b: float, c: float) -> Fraction:

@@ -347,6 +347,24 @@ def test_shortest_side_limit_is_the_same_on_every_route(capsys):
                 assert value == records[0][key], key
 
 
+def test_shortest_side_limit_holds_for_convert_point(capsys):
+    # an a-form point far up its region stands for sides 1, |p|, |p - 1|;
+    # convert --point and normalize --sides of those sides agree on the limit
+    for y, ok in ((1e10, False), (1e4, True)):
+        sides = ["1", repr(math.hypot(0.5, y)), repr(math.hypot(0.5, y))]
+        routes = (["convert", "--point", f"0.5,{y!r}"], ["normalize", "--sides", *sides])
+        for argv in routes:
+            if not ok:
+                code, out, err = run(capsys, *argv, "--kind", "a")
+                assert code == 3, argv
+                assert out == ""
+                assert err.startswith("error: UnboundedType: "), err
+                continue
+            (rec,) = run_json(capsys, *argv, "--kind", "a")
+            assert rec["normal_point"] == pytest.approx([0.5, y], rel=1e-12)
+            assert rec["side_ratios"] == pytest.approx([1.0 / y, 1.0, 1.0], rel=1e-7)
+
+
 def test_bad_point_token_exit_code(capsys):
     code, _, err = run(capsys, "normalize", "--points", "0", "1", "2")
     assert code == 2

@@ -193,6 +193,20 @@ def test_angles_from_normal_point_landmarks():
         assert value == pytest.approx(math.pi / 3.0, abs=1e-12)
 
 
+def test_apex_angle_far_up_the_shortest_side_region():
+    # the a-form triangle of p has sides 1, |p| and |p - 1|, and far up the
+    # region the apex p carries the smallest angle; as pi minus the two
+    # anchor angles it lost up to 8e-8 of itself at y = 1e10
+    rng = random.Random(512)
+    points = [(0.5, 1e10), (0.7, 3e6)]
+    points += [(rng.uniform(0.5, 3.0), 10.0 ** rng.uniform(3.0, 12.0)) for _ in range(500)]
+    for x, y in points:
+        b, c = sorted((math.hypot(x, y), math.hypot(x - 1.0, y)))
+        want = exact_smallest_angle(1.0, b, c)
+        got = angles_from_normal_point(FormKind.A_VERTEX, Point(x, y)).alpha
+        assert abs(got - want) <= 1e-14 * want, (x, y)
+
+
 def test_angles_from_normal_point_degenerate_marker():
     assert angles_from_normal_point(FormKind.C_VERTEX, Point(0.75, 0.0)) is DEGENERATE
     assert angles_from_normal_point(FormKind.C_VERTEX, Point(1.0, 0.0)) is DEGENERATE

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import pickle
 import random
 
 import pytest
@@ -32,6 +33,7 @@ from simnorm import (
     SideLengths,
     Tolerance,
     Triangle,
+    TriangleClass,
     UnboundedType,
     a_normal_point,
     b_normal_point,
@@ -283,6 +285,110 @@ def test_classify_takes_three_side_lengths(monkeypatch):
         calls.clear()
         classify(t)
         assert len(calls) == 3 * passes
+
+
+def test_normal_point_matches_the_list_sort_oracle():
+    # the side of each rank is picked by comparisons on the lengths; the
+    # oracle sorts (length, (i, j)) pairs, so exact ties in every vertex
+    # order must pick the same side
+    shapes = [
+        ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)),
+        ((0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3.0) / 2.0)),
+        ((0.0, 0.0), (2.0, 0.0), (1.0, 3.0)),
+        ((0.0, 0.0), (2.0, 0.0), (1.0, 0.5)),
+        ((1.0, 1.0), (1.0, 1.0), (4.0, 5.0)),
+        ((0.0, 0.0), (1.0, 0.0), (2.0, 0.0)),
+        ((-1.7e308, 0.0), (1.7e308, 0.0), (0.0, 1e308)),
+        ((0.0, 0.0), (4e-323, 0.0), (4e-323, 3e-323)),
+        # the rescale is capped by the coordinates and leaves the side subnormal
+        ((1e308, 0.0), (1e308, 5e-324), (1e308, 0.0)),
+    ]
+    cases = [tri(*order) for shape in shapes for order in itertools.permutations(shape)]
+    rng = random.Random(415)
+    for k in range(1000):
+        if k % 3 == 0:
+            # small integer coordinates: many exact ties among the lengths
+            t = tri(*((float(rng.randint(-2, 2)), float(rng.randint(-2, 2))) for _ in range(3)))
+            if t.vertices[0] == t.vertices[1] == t.vertices[2]:
+                continue
+        else:
+            t = rand_triangle(rng, degenerate_fraction=0.10, repeat_fraction=0.05)
+        scale = rng.choice((1.0, 1e-300, 1e300))
+        cases.append(Triangle.of(*(Point(scale * v.x, scale * v.y) for v in t.vertices)))
+    kinds = (FormKind.A_VERTEX, FormKind.B_VERTEX, FormKind.C_VERTEX)
+    for t in cases:
+        for rank, kind in enumerate(kinds):
+            want = _outcome(list_sort_normal_point, t, rank)
+            assert _outcome(normal_point, kind, t) == want, (t, kind)
+        assert repr(classify(t)) == repr(list_sort_classify(t)), t
+
+
+def test_triangles_similar_matches_the_list_sort_oracle():
+    # copies moved by about half an eps stay similar, by about two eps not
+    rng = random.Random(416)
+    tols = (Tolerance(), Tolerance(1e-6))
+    for k in range(2000):
+        t = rand_triangle(rng, degenerate_fraction=0.10, repeat_fraction=0.05)
+        tol = tols[k % 2]
+        if k % 4 == 0:
+            u = rand_triangle(rng, degenerate_fraction=0.10, repeat_fraction=0.05)
+        elif k % 4 == 1:
+            u = apply_to_triangle(rand_transform(rng), t)
+        else:
+            p = list_sort_normal_point(t, 2)
+            step = tol.eps * (0.5 if k % 4 == 2 else 2.0) * rng.uniform(0.9, 1.1)
+            u = tri((0.0, 0.0), (1.0, 0.0), (p.x + rng.choice((-step, 0.0, step)), p.y + step))
+        want = list_sort_normal_point(t, 2).close_to(list_sort_normal_point(u, 2), tol)
+        assert triangles_similar(t, u, tol) is want, (t, u)
+
+
+def test_each_call_makes_one_side_pass(monkeypatch):
+    calls = []
+
+    def hypot(*coords):
+        calls.append(coords)
+        return real_hypot(*coords)
+
+    real_hypot = math.hypot
+    monkeypatch.setattr(math, "hypot", hypot)
+    unit = tri((0.0, 0.0), (3.0, 0.0), (0.0, 4.0))
+    # side lengths that overflow: measured once more on the rescaled copy
+    huge = tri((-1.7e308, 0.0), (1.7e308, 0.0), (0.0, 1e308))
+    kinds = (FormKind.A_VERTEX, FormKind.B_VERTEX, FormKind.C_VERTEX)
+    for t, passes in ((unit, 1), (huge, 2)):
+        for call in (
+            lambda: c_normal_point(t),
+            lambda: b_normal_point(t),
+            lambda: a_normal_point(t),
+            *(lambda kind=kind: normal_point(kind, t) for kind in kinds),
+        ):
+            calls.clear()
+            call()
+            assert len(calls) == 3 * passes
+        calls.clear()
+        triangles_similar(t, unit)
+        assert len(calls) == 3 * passes + 3
+        calls.clear()
+        triangles_similar(t, t)
+        assert len(calls) == 6 * passes
+
+
+def test_classify_returns_the_shared_class_values():
+    shapes = (
+        ((0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3.0) / 2.0)),
+        ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)),
+        ((0.0, 0.0), (3.0, 0.0), (0.0, 4.0)),
+        ((0.0, 0.0), (1.0, 0.0), (2.0, 0.0)),
+        ((0.0, 0.0), (4.0, 0.0), (1.0, 0.5)),
+    )
+    for shape in shapes:
+        cls = classify(tri(*shape))
+        fresh = TriangleClass(cls.angle_class, cls.side_class)
+        assert cls == fresh and hash(cls) == hash(fresh) and repr(cls) == repr(fresh)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(cls, protocol))
+            assert back == cls and back.angle_class is cls.angle_class
+            assert back.side_class is cls.side_class
 
 
 def test_near_max_triangle_classifies():
