@@ -20,27 +20,28 @@ import sys
 from .conversions import (
     DEGENERATE,
     _point_angles,
+    _point_from_sides,
     angles_from_normal_point,
-    normal_point_from_sides,
     sides_from_angles,
 )
-from .errors import ArityMismatch, DegenerateAngles, GeometryError, InvalidSides
+from .errors import ArityMismatch, DegenerateAngles, DegenerateQuad, GeometryError, InvalidSides
 from .geometry import DEFAULT_TOL, Point, Tolerance, _set, _Value
-from .quads import Quadrilateral, in_d_region, normalize_quad
+from .quads import _forms_close, _in_d_region, _quad_form
 from .triangles import (
+    _IN_REGION,
     AngleTriple,
     FormKind,
     SideLengths,
     Triangle,
     _check_shortest_side,
     _classify,
+    _in_c_region,
     _lengths,
     _place,
     _rank,
     _side_pass,
     circle_normal_form,
-    in_c_domain,
-    in_domain,
+    in_a_domain,
 )
 
 
@@ -160,8 +161,9 @@ def _emit(records: list[ReportRecord], fmt: str) -> None:
         write("".join(block))
 
 
-# a shape is what the library takes: 3 or 4 vertices, or side lengths
-_Shape = tuple[Point, ...] | SideLengths
+# a shape is 3 or 4 vertices as a flat tuple of 6 or 8 finite coordinates,
+# or side lengths
+_Shape = tuple[float, ...] | SideLengths
 
 
 def _coords(token: str) -> list[float]:
@@ -180,7 +182,12 @@ def _shape(tag: str, numbers: list[float], degrees: bool) -> _Shape:
     if tag == "points":
         if len(numbers) not in (6, 8):
             raise ValueError(f"expected 3 or 4 points, got {len(numbers) / 2:g}")
-        return tuple(map(Point, numbers[::2], numbers[1::2]))
+        if not all(map(math.isfinite, numbers)):
+            # the message of Point, for the first point that fails
+            for x, y in zip(numbers[::2], numbers[1::2]):
+                if not (math.isfinite(x) and math.isfinite(y)):
+                    raise ValueError(f"point coordinates must be finite, got ({x!r}, {y!r})")
+        return tuple(numbers)
     if tag not in ("sides", "angles"):
         raise ValueError(f"unknown record tag {tag!r}")
     if len(numbers) != 3:
@@ -203,10 +210,12 @@ def _shape_from_args(args, prefix: str = "") -> _Shape:
 
 
 def _arity(shape: _Shape) -> int:
-    return 3 if isinstance(shape, SideLengths) else len(shape)
+    return 3 if isinstance(shape, SideLengths) else len(shape) // 2
 
 
-def _triangle_parts(shape: _Shape) -> tuple[tuple | None, tuple[float, float, float], Point]:
+def _triangle_parts(
+    shape: _Shape,
+) -> tuple[tuple | None, tuple[float, float, float], tuple[float, float]]:
     """The side pass (None for side lengths), the lengths a <= b <= c and the c point.
 
     A point triangle gets all three from one side pass, which the record
@@ -215,11 +224,16 @@ def _triangle_parts(shape: _Shape) -> tuple[tuple | None, tuple[float, float, fl
     them would only repeat checks that cannot fail.
     """
     if isinstance(shape, SideLengths):
-        return None, (shape.a, shape.b, shape.c), normal_point_from_sides(FormKind.C_VERTEX, shape)
-    if len(shape) != 3:
-        raise ArityMismatch(f"expected a triangle, got {len(shape)} points")
-    sides = _side_pass(Triangle(shape))
-    return sides, _lengths(sides), Point(*_place(sides, 2, DEFAULT_TOL))
+        a, b, c = shape.a, shape.b, shape.c
+        return None, (a, b, c), _point_from_sides(2, a, b, c)
+    if len(shape) != 6:
+        raise ArityMismatch(f"expected a triangle, got {len(shape) // 2} points")
+    x0, y0, x1, y1, x2, y2 = shape
+    if x0 == x1 == x2 and y0 == y1 == y2:
+        # the check of Triangle
+        raise ValueError("triangle needs at least two distinct vertices")
+    sides = _side_pass(x0, y0, x1, y1, x2, y2)
+    return sides, _lengths(sides), _place(sides, 2, DEFAULT_TOL)
 
 
 def _angles_out(values: tuple[float, float, float], degrees: bool):
@@ -232,41 +246,52 @@ def _point_pair(p: Point) -> tuple[float, float]:
     return (p.x, p.y)
 
 
+# a form as the records name it, with its anchored side rank (None for the circle form)
+_Form = tuple[str, int | None]
+
+
+def _form(kind: FormKind) -> _Form:
+    """The form of a command's triangle records, looked up once per command."""
+    return kind.value, None if kind is FormKind.CIRCLE else _rank(kind)
+
+
 def _triangle_record(
-    command: str, shape: _Shape, kind: FormKind, tol: Tolerance, degrees: bool
+    command: str, shape: _Shape, form: _Form, tol: Tolerance, degrees: bool
 ) -> ReportRecord:
+    name, rank = form
     sides, (a, b, c), pc = _triangle_parts(shape)
-    cls = _classify(pc.x, pc.y, a, b, c, tol)
+    xc, yc = pc
+    cls = _classify(xc, yc, a, b, c, tol)
     ratios = (a / c, b / c, 1.0)
-    ang = _point_angles(pc, tol)
+    ang = _point_angles(xc, yc, tol.eps)
     angles = None if ang is DEGENERATE else _angles_out(ang.as_tuple(), degrees)
-    if kind is FormKind.CIRCLE:
+    if rank is None:
         if ang is DEGENERATE:
             raise DegenerateAngles(f"sides {(a, b, c)!r} describe a degenerate triangle")
         ref = circle_normal_form(ang)
         return ReportRecord(
             command=command,
-            form_kind=kind.value,
+            form_kind=name,
             circle_vertices=tuple(_point_pair(v) for v in ref.vertices),
             angle_class=cls.angle_class.value,
             side_class=cls.side_class.value,
             angles=angles,
             side_ratios=ratios,
         )
-    if kind is FormKind.C_VERTEX:
+    if rank == 2:
         p = pc
     elif sides is not None:
-        p = Point(*_place(sides, _rank(kind), tol))
+        p = _place(sides, rank, tol)
     else:
-        if kind is FormKind.A_VERTEX:
+        if rank == 0:
             # the limit a point triangle meets in _place
             _check_shortest_side(a, c, tol)
-        p = normal_point_from_sides(kind, shape)
+        p = _point_from_sides(rank, a, b, c)
     return ReportRecord(
         command=command,
-        form_kind=kind.value,
-        normal_point=_point_pair(p),
-        in_domain=in_domain(kind, p, tol),
+        form_kind=name,
+        normal_point=p,
+        in_domain=_IN_REGION[rank](p[0], p[1], tol.eps),
         angle_class=cls.angle_class.value,
         side_class=cls.side_class.value,
         angles=angles,
@@ -275,14 +300,24 @@ def _triangle_record(
     )
 
 
+def _quad_parts(shape: _Shape, tol: Tolerance) -> tuple[float, float, float, float]:
+    """The quad normal form (cx, cy, dx, dy) of four vertices."""
+    xs = shape[::2]
+    ys = shape[1::2]
+    if xs.count(xs[0]) == 4 and ys.count(ys[0]) == 4:
+        # the check of Quadrilateral
+        raise DegenerateQuad("quadrilateral needs at least two distinct vertices")
+    return _quad_form(*shape, tol.eps)
+
+
 def _quad_record(command: str, shape: _Shape, tol: Tolerance) -> ReportRecord:
-    nf = normalize_quad(Quadrilateral(shape), tol)
-    ok = in_c_domain(nf.c, tol) and in_d_region(nf.d, nf.c, tol)
+    cx, cy, dx, dy = _quad_parts(shape, tol)
+    e = tol.eps
     return ReportRecord(
         command=command,
-        quad_c=_point_pair(nf.c),
-        quad_d=_point_pair(nf.d),
-        in_domain=ok,
+        quad_c=(cx, cy),
+        quad_d=(dx, dy),
+        in_domain=_in_c_region(cx, cy, e) and _in_d_region(dx, dy, cx, cy, e),
     )
 
 
@@ -310,7 +345,7 @@ def _cmd_normalize(args, tol: Tolerance) -> list[ReportRecord]:
         numbered = _batch_shapes(args.batch, args.degrees)
     else:
         numbered = [(0, _shape_from_args(args))]
-    kind = _kind_from_args(args)
+    form = _form(_kind_from_args(args))
     records = []
     for lineno, shape in numbered:
         try:
@@ -319,7 +354,7 @@ def _cmd_normalize(args, tol: Tolerance) -> list[ReportRecord]:
                     raise ArityMismatch("--kind applies to triangles; got 4 points")
                 records.append(_quad_record("normalize", shape, tol))
             else:
-                records.append(_triangle_record("normalize", shape, kind, tol, args.degrees))
+                records.append(_triangle_record("normalize", shape, form, tol, args.degrees))
         except (GeometryError, ValueError) as exc:
             if lineno == 0:
                 raise
@@ -330,7 +365,7 @@ def _cmd_normalize(args, tol: Tolerance) -> list[ReportRecord]:
 
 def _cmd_classify(args, tol: Tolerance) -> list[ReportRecord]:
     shape = _shape_from_args(args)
-    record = _triangle_record("classify", shape, FormKind.C_VERTEX, tol, args.degrees)
+    record = _triangle_record("classify", shape, _form(FormKind.C_VERTEX), tol, args.degrees)
     return [
         ReportRecord(
             command="classify",
@@ -346,6 +381,11 @@ def _cmd_convert(args, tol: Tolerance) -> list[ReportRecord]:
     kind = _kind_from_args(args)
     if args.point is not None:
         p = Point(*_coords(args.point))
+        if kind is FormKind.A_VERTEX and in_a_domain(p, tol):
+            # the sides are 1, |p| and |p - 1|; far up the region the angle
+            # at p underflows, so meet the limit of the other routes first
+            c = max(math.hypot(p.x, p.y), math.hypot(p.x - 1.0, p.y))
+            _check_shortest_side(1.0, c, tol)
         recovered = angles_from_normal_point(kind, p, tol)
         if recovered is DEGENERATE:
             return [
@@ -369,7 +409,7 @@ def _cmd_convert(args, tol: Tolerance) -> list[ReportRecord]:
                 side_ratios=s.ratios(),
             )
         ]
-    return [_triangle_record("convert", _shape_from_args(args), kind, tol, args.degrees)]
+    return [_triangle_record("convert", _shape_from_args(args), _form(kind), tol, args.degrees)]
 
 
 def _cmd_similar(args, tol: Tolerance) -> list[ReportRecord]:
@@ -378,17 +418,12 @@ def _cmd_similar(args, tol: Tolerance) -> list[ReportRecord]:
     if _arity(a) != _arity(b):
         raise ArityMismatch(f"cannot compare arity {_arity(a)} with arity {_arity(b)}")
     if _arity(a) == 4:
-        fa = normalize_quad(Quadrilateral(a), tol)
-        fb = normalize_quad(Quadrilateral(b), tol)
-        verdict = fa.close_to(fb, tol)
-        key_a = _point_pair(fa.c) + _point_pair(fa.d)
-        key_b = _point_pair(fb.c) + _point_pair(fb.d)
+        key_a = _quad_parts(a, tol)
+        key_b = _quad_parts(b, tol)
     else:
-        pa = _triangle_parts(a)[2]
-        pb = _triangle_parts(b)[2]
-        verdict = pa.close_to(pb, tol)
-        key_a = _point_pair(pa)
-        key_b = _point_pair(pb)
+        key_a = _triangle_parts(a)[2]
+        key_b = _triangle_parts(b)[2]
+    verdict = _forms_close(key_a, key_b, tol.eps)
     return [
         ReportRecord(command="similar", similar=verdict, key_a=key_a, key_b=key_b)
     ]
@@ -433,7 +468,7 @@ def _cmd_plot(args, tol: Tolerance) -> list[ReportRecord]:
     from .figures import domain_figure, render_svg, with_point, with_triangle
 
     kind = _kind_from_args(args)
-    record = _triangle_record("plot", _shape_from_args(args), kind, tol, args.degrees)
+    record = _triangle_record("plot", _shape_from_args(args), _form(kind), tol, args.degrees)
     fig = domain_figure(kind)
     if kind is FormKind.CIRCLE:
         verts = tuple(Point(x, y) for x, y in record.circle_vertices)

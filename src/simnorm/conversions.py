@@ -55,20 +55,24 @@ def normal_point_from_sides(kind: FormKind, s: SideLengths) -> Point:
     shortest-side form raises UnboundedType once a/c falls below about
     2**-511 (1.5e-154), where 2a^2 underflows the normal float range.
     """
-    rank = _rank(kind)
-    k = -math.frexp(s.c)[1]
-    sides = (math.ldexp(s.a, k), math.ldexp(s.b, k), math.ldexp(s.c, k))
+    return Point(*_point_from_sides(_rank(kind), s.a, s.b, s.c))
+
+
+def _point_from_sides(rank: int, a: float, b: float, c: float) -> tuple[float, float]:
+    """normal_point_from_sides on sorted lengths a <= b <= c of a valid triple, by side rank."""
+    k = -math.frexp(c)[1]
+    sides = (math.ldexp(a, k), math.ldexp(b, k), math.ldexp(c, k))
     r = _radicand(*sides)
     if r < 0.0:
         if r < -_RADICAND_CLAMP * sum(sides) ** 4:
-            raise InvalidSides(f"triangle inequality fails for sides {(s.a, s.b, s.c)!r}")
+            raise InvalidSides(f"triangle inequality fails for sides {(a, b, c)!r}")
         r = 0.0
     u = sides[rank]
     d1, d0 = sides[:rank] + sides[rank + 1 :]
     den = 2.0 * u * u
     if den < sys.float_info.min:
-        raise UnboundedType(f"sides {(s.a, s.b, s.c)!r} have no finite shortest-side form")
-    return Point((u * u + (d0 - d1) * (d0 + d1)) / den, math.sqrt(r) / den)
+        raise UnboundedType(f"sides {(a, b, c)!r} have no finite shortest-side form")
+    return (u * u + (d0 - d1) * (d0 + d1)) / den, math.sqrt(r) / den
 
 
 def sides_from_angles(angles: AngleTriple, kind: FormKind = FormKind.C_VERTEX) -> SideLengths:
@@ -108,24 +112,24 @@ def angles_from_normal_point(
     """
     if not in_domain(kind, p, tol):
         raise OutOfDomain(f"{p} is outside the region of the {kind.value!r} form")
-    return _point_angles(p, tol)
+    return _point_angles(p.x, p.y, tol.eps)
 
 
-def _point_angles(p: Point, tol: Tolerance) -> AngleTriple | _DegenerateMarker:
-    """angles_from_normal_point without the region check.
+def _point_angles(x: float, y: float, eps: float) -> AngleTriple | _DegenerateMarker:
+    """angles_from_normal_point of the point (x, y), without the region check.
 
     For normal points computed by this package: rounding can leave them a
     few ulps outside their region, which an eps below 1e-16 detects.  The
-    angles at both anchors and at p, sorted by AngleTriple, are the same for
-    every form.  The angle at p comes from the cross product |y| and the dot
-    product x(x - 1) + y^2 of the rays from p to the anchors, not as the
-    complement to pi, which cancels when that angle is tiny.
+    angles at both anchors and at (x, y), sorted by AngleTriple, are the
+    same for every form.  The angle at (x, y) comes from the cross product
+    |y| and the dot product x(x - 1) + y^2 of the rays to the anchors, not
+    as the complement to pi, which cancels when that angle is tiny.
     """
-    if abs(p.y) <= tol.eps:
+    if abs(y) <= eps:
         return DEGENERATE
-    at_origin = math.atan2(p.y, p.x)
-    at_unit = math.atan2(p.y, 1.0 - p.x)
-    at_p = math.atan2(abs(p.y), p.x * (p.x - 1.0) + p.y * p.y)
+    at_origin = math.atan2(y, x)
+    at_unit = math.atan2(y, 1.0 - x)
+    at_p = math.atan2(abs(y), x * (x - 1.0) + y * y)
     return AngleTriple(at_origin, at_unit, at_p)
 
 
@@ -136,7 +140,7 @@ def angles_from_sides(s: SideLengths, tol: Tolerance = DEFAULT_TOL) -> AngleTrip
     x-axis are degenerate, as classify judges them, and raise
     DegenerateAngles since no valid angle triple exists for them.
     """
-    angles = _point_angles(normal_point_from_sides(FormKind.C_VERTEX, s), tol)
+    angles = _point_angles(*_point_from_sides(2, s.a, s.b, s.c), tol.eps)
     if angles is DEGENERATE:
         raise DegenerateAngles(f"sides {(s.a, s.b, s.c)!r} describe a degenerate triangle")
     return angles

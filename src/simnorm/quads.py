@@ -82,18 +82,22 @@ def in_d_region(p: Point, c: Point, tol: Tolerance = DEFAULT_TOL) -> bool:
     below c in the quasilexicographic sense: strictly smaller fold distance
     from x = 1/2, or an equal fold distance (within eps) and |y| <= |c.y|.
     """
-    e = tol.eps
-    if p.x * p.x + p.y * p.y > 1.0 + e:
+    return _in_d_region(p.x, p.y, c.x, c.y, tol.eps)
+
+
+def _in_d_region(x: float, y: float, cx: float, cy: float, e: float) -> bool:
+    """in_d_region of the point (x, y) against c = (cx, cy)."""
+    if x * x + y * y > 1.0 + e:
         return False
-    if (p.x - 1.0) * (p.x - 1.0) + p.y * p.y > 1.0 + e:
+    if (x - 1.0) * (x - 1.0) + y * y > 1.0 + e:
         return False
-    if (p.x - c.x) * (p.x - c.x) + (p.y - c.y) * (p.y - c.y) > 1.0 + e:
+    if (x - cx) * (x - cx) + (y - cy) * (y - cy) > 1.0 + e:
         return False
-    fold_p = abs(p.x - 0.5)
-    fold_c = abs(c.x - 0.5)
+    fold_p = abs(x - 0.5)
+    fold_c = abs(cx - 0.5)
     if fold_p > fold_c + e:
         return False
-    if abs(fold_p - fold_c) <= e and abs(p.y) > abs(c.y) + e:
+    if abs(fold_p - fold_c) <= e and abs(y) > abs(cy) + e:
         return False
     return True
 
@@ -132,9 +136,16 @@ def normalize_quad(q: Quadrilateral, tol: Tolerance = DEFAULT_TOL) -> QuadNormal
     the same at every scale of the finite float range, subnormal included;
     inputs inside that band are computed unscaled.
     """
-    e = tol.eps
     p0, p1, p2, p3 = q.vertices
-    x0, y0, x1, y1, x2, y2, x3, y3 = p0.x, p0.y, p1.x, p1.y, p2.x, p2.y, p3.x, p3.y
+    cx, cy, dx, dy = _quad_form(p0.x, p0.y, p1.x, p1.y, p2.x, p2.y, p3.x, p3.y, tol.eps)
+    return QuadNormalForm(Point(cx, cy), Point(dx, dy))
+
+
+def _quad_form(
+    x0: float, y0: float, x1: float, y1: float, x2: float, y2: float, x3: float, y3: float,
+    e: float,
+) -> tuple[float, float, float, float]:
+    """normalize_quad of the vertices (x0, y0) ... (x3, y3) as (cx, cy, dx, dy)."""
     dists = _pair_distances(x0, y0, x1, y1, x2, y2, x3, y3)
     d_max = max(dists)
     if not _TINY <= d_max <= _HUGE:
@@ -203,12 +214,22 @@ def normalize_quad(q: Quadrilateral, tol: Tolerance = DEFAULT_TOL) -> QuadNormal
                         else:
                             if key > best:
                                 best = key
-    return QuadNormalForm(Point(best[4], best[5]), Point(best[6], best[7]))
+    return best[4:]
 
 
 def quads_similar(q1: Quadrilateral, q2: Quadrilateral, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Similarity test via canonical representatives."""
-    return normalize_quad(q1, tol).close_to(normalize_quad(q2, tol), tol)
+    """Similarity test via canonical representatives, compared within tol.eps."""
+    e = tol.eps
+    p0, p1, p2, p3 = q1.vertices
+    f1 = _quad_form(p0.x, p0.y, p1.x, p1.y, p2.x, p2.y, p3.x, p3.y, e)
+    p0, p1, p2, p3 = q2.vertices
+    f2 = _quad_form(p0.x, p0.y, p1.x, p1.y, p2.x, p2.y, p3.x, p3.y, e)
+    return _forms_close(f1, f2, e)
+
+
+def _forms_close(f1: tuple[float, ...], f2: tuple[float, ...], e: float) -> bool:
+    """Two forms as flat coordinates agree within e, as Point.close_to on each point."""
+    return all(abs(u - v) <= e for u, v in zip(f1, f2))
 
 
 def reflection_orbit_type_count(c: Point, d: Point, tol: Tolerance = DEFAULT_TOL) -> int:

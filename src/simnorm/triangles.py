@@ -182,16 +182,14 @@ def triangle_from_sides(s: SideLengths) -> Triangle:
 _Sides = tuple[float, float, float, float, float, float, float, float, float]
 
 
-def _side_pass(t: Triangle) -> _Sides:
-    """The sides of t = (z0, z1, z2), from one read of its six coordinates.
+def _side_pass(x0: float, y0: float, x1: float, y1: float, x2: float, y2: float) -> _Sides:
+    """The sides of the triangle z0 = (x0, y0), z1 = (x1, y1), z2 = (x2, y2).
 
     They are the lengths of (0, 1), (0, 2) and (1, 2), then z1 - z0, z2 - z0
     and z2 - z1 as (dx, dy) pairs.  When the longest side lies outside
     [2**-969, 2**960], the vertices are first rescaled by one exact power of
     two, and the sides are those of the rescaled copy.
     """
-    p0, p1, p2 = t.vertices
-    x0, y0, x1, y1, x2, y2 = p0.x, p0.y, p1.x, p1.y, p2.x, p2.y
     rescaled = False
     while True:
         dx01, dy01 = x1 - x0, y1 - y0
@@ -271,7 +269,8 @@ def c_normal_point(t: Triangle) -> Point:
     The longest side becomes the unit segment and the opposite vertex lands
     in the lens {y >= 0, x >= 1/2, x^2 + y^2 <= 1}.
     """
-    return Point(*_place(_side_pass(t), 2, DEFAULT_TOL))
+    p0, p1, p2 = t.vertices
+    return Point(*_place(_side_pass(p0.x, p0.y, p1.x, p1.y, p2.x, p2.y), 2, DEFAULT_TOL))
 
 
 def b_normal_point(t: Triangle) -> Point:
@@ -281,7 +280,8 @@ def b_normal_point(t: Triangle) -> Point:
     the longest side incident to the origin, so the remaining vertex lands
     in {y >= 0, x >= 1/2, x^2 + y^2 >= 1, (x-1)^2 + y^2 <= 1}.
     """
-    return Point(*_place(_side_pass(t), 1, DEFAULT_TOL))
+    p0, p1, p2 = t.vertices
+    return Point(*_place(_side_pass(p0.x, p0.y, p1.x, p1.y, p2.x, p2.y), 1, DEFAULT_TOL))
 
 
 def a_normal_point(t: Triangle, tol: Tolerance = DEFAULT_TOL) -> Point:
@@ -292,40 +292,55 @@ def a_normal_point(t: Triangle, tol: Tolerance = DEFAULT_TOL) -> Point:
     side cannot be dilated to unit length.  Such triangles (shortest side
     within tol.eps of zero, relative to the longest) raise UnboundedType.
     """
-    return Point(*_place(_side_pass(t), 0, tol))
+    p0, p1, p2 = t.vertices
+    return Point(*_place(_side_pass(p0.x, p0.y, p1.x, p1.y, p2.x, p2.y), 0, tol))
 
 
 def normal_point(kind: FormKind, t: Triangle, tol: Tolerance = DEFAULT_TOL) -> Point:
     """The one-vertex normal point for the given kind."""
-    return Point(*_place(_side_pass(t), _rank(kind), tol))
+    p0, p1, p2 = t.vertices
+    return Point(*_place(_side_pass(p0.x, p0.y, p1.x, p1.y, p2.x, p2.y), _rank(kind), tol))
+
+
+def _in_a_region(x: float, y: float, e: float) -> bool:
+    return y >= -e and x >= 0.5 - e and (x - 1.0) * (x - 1.0) + y * y >= 1.0 - e
+
+
+def _in_b_region(x: float, y: float, e: float) -> bool:
+    return (
+        y >= -e
+        and x >= 0.5 - e
+        and x * x + y * y >= 1.0 - e
+        and (x - 1.0) * (x - 1.0) + y * y <= 1.0 + e
+    )
+
+
+def _in_c_region(x: float, y: float, e: float) -> bool:
+    return y >= -e and x >= 0.5 - e and x * x + y * y <= 1.0 + e
+
+
+# the region tests of the one-vertex forms on (x, y, eps), by anchored side rank
+_IN_REGION = (_in_a_region, _in_b_region, _in_c_region)
 
 
 def in_c_domain(p: Point, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Membership in the longest-side region, inequalities relaxed by eps."""
-    e = tol.eps
-    return p.y >= -e and p.x >= 0.5 - e and p.x * p.x + p.y * p.y <= 1.0 + e
+    return _in_c_region(p.x, p.y, tol.eps)
 
 
 def in_b_domain(p: Point, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Membership in the median-side region, inequalities relaxed by eps."""
-    e = tol.eps
-    return (
-        p.y >= -e
-        and p.x >= 0.5 - e
-        and p.x * p.x + p.y * p.y >= 1.0 - e
-        and (p.x - 1.0) * (p.x - 1.0) + p.y * p.y <= 1.0 + e
-    )
+    return _in_b_region(p.x, p.y, tol.eps)
 
 
 def in_a_domain(p: Point, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Membership in the (unbounded) shortest-side region."""
-    e = tol.eps
-    return p.y >= -e and p.x >= 0.5 - e and (p.x - 1.0) * (p.x - 1.0) + p.y * p.y >= 1.0 - e
+    return _in_a_region(p.x, p.y, tol.eps)
 
 
 def in_domain(kind: FormKind, p: Point, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Membership in the region of the given one-vertex form."""
-    return (in_a_domain, in_b_domain, in_c_domain)[_rank(kind)](p, tol)
+    return _IN_REGION[_rank(kind)](p.x, p.y, tol.eps)
 
 
 def circle_normal_form(angles: AngleTriple) -> Triangle:
@@ -411,14 +426,17 @@ def classify(t: Triangle, tol: Tolerance = DEFAULT_TOL) -> TriangleClass:
     the lengths come from one side pass, of the rescaled copy far from unit
     size, so they stay finite whenever the coordinates are.
     """
-    sides = _side_pass(t)
+    p0, p1, p2 = t.vertices
+    sides = _side_pass(p0.x, p0.y, p1.x, p1.y, p2.x, p2.y)
     return _classify(*_place(sides, 2, tol), *_lengths(sides), tol)
 
 
 def triangles_similar(t1: Triangle, t2: Triangle, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Similarity test via the longest-side canonical key, compared within tol.eps."""
-    x1, y1 = _place(_side_pass(t1), 2, tol)
-    x2, y2 = _place(_side_pass(t2), 2, tol)
+    p0, p1, p2 = t1.vertices
+    x1, y1 = _place(_side_pass(p0.x, p0.y, p1.x, p1.y, p2.x, p2.y), 2, tol)
+    p0, p1, p2 = t2.vertices
+    x2, y2 = _place(_side_pass(p0.x, p0.y, p1.x, p1.y, p2.x, p2.y), 2, tol)
     return abs(x1 - x2) <= tol.eps and abs(y1 - y2) <= tol.eps
 
 

@@ -14,7 +14,22 @@ import simnorm
 from figchecks import check_figure, markers_by_class
 from helpers import rand_angles, rand_quad, rand_triangle
 from simnorm import (
-    Point, Quadrilateral, SideLengths, Triangle, c_normal_point, distance, normalize_quad
+    AngleTriple,
+    FormKind,
+    GeometryError,
+    Point,
+    Quadrilateral,
+    SideLengths,
+    Triangle,
+    c_normal_point,
+    distance,
+    in_c_domain,
+    in_d_region,
+    in_domain,
+    normal_point,
+    normal_point_from_sides,
+    normalize_quad,
+    sides_from_angles,
 )
 from simnorm.cli import ReportRecord, _emit, main
 
@@ -225,7 +240,7 @@ def test_convert_out_of_domain_point(capsys):
 def test_convert_far_points_get_a_verdict(capsys):
     code, _, err = run(capsys, "convert", "--point", "1e200,1e308", "--kind", "a")
     assert code == 3
-    assert "error: DegenerateAngles" in err
+    assert "error: UnboundedType" in err
     code, _, err = run(capsys, "convert", "--point", "1e308,0.5", "--kind", "b")
     assert code == 3
     assert "error: OutOfDomain" in err
@@ -349,8 +364,9 @@ def test_shortest_side_limit_is_the_same_on_every_route(capsys):
 
 def test_shortest_side_limit_holds_for_convert_point(capsys):
     # an a-form point far up its region stands for sides 1, |p|, |p - 1|;
-    # convert --point and normalize --sides of those sides agree on the limit
-    for y, ok in ((1e10, False), (1e4, True)):
+    # convert --point and normalize --sides of those sides agree on the limit,
+    # also where the angle at p underflows (y = 1e200)
+    for y, ok in ((1e200, False), (1e10, False), (1e4, True)):
         sides = ["1", repr(math.hypot(0.5, y)), repr(math.hypot(0.5, y))]
         routes = (["convert", "--point", f"0.5,{y!r}"], ["normalize", "--sides", *sides])
         for argv in routes:
@@ -505,6 +521,85 @@ def _mixed_batch(rng, n):
             q = rand_quad(rng, special_fraction=0.1)
             lines.append("points " + " ".join(f"{p.x!r} {p.y!r}" for p in q.vertices))
     return "\n".join(lines) + "\n"
+
+
+def _library_fields(line, kind):
+    """The fields of a structured batch record for this line, from the public value-type API."""
+    tag, *nums = line.split()
+    vals = [float(v) for v in nums]
+    if tag == "points" and len(vals) == 8:
+        nf = normalize_quad(Quadrilateral(tuple(map(Point, vals[::2], vals[1::2]))))
+        return {
+            "quad_c": (nf.c.x, nf.c.y),
+            "quad_d": (nf.d.x, nf.d.y),
+            "in_domain": in_c_domain(nf.c) and in_d_region(nf.d, nf.c),
+        }
+    if tag == "points":
+        p = normal_point(kind, Triangle(tuple(map(Point, vals[::2], vals[1::2]))))
+    elif tag == "sides":
+        p = normal_point_from_sides(kind, SideLengths.of(*vals))
+    else:
+        p = normal_point_from_sides(kind, sides_from_angles(AngleTriple(*vals)))
+    return {"normal_point": (p.x, p.y), "in_domain": in_domain(kind, p)}
+
+
+@pytest.mark.parametrize("kind", [None, "a", "b", "c"])
+def test_batch_records_match_the_library(tmp_path, capsys, kind):
+    # the batch runs on the private float kernels, the library on value types;
+    # both must give the same floats.  With --kind, quads are left out
+    lines = _mixed_batch(random.Random(1411), 1500).splitlines()
+    form = FormKind.C_VERTEX if kind is None else FormKind(kind)
+    kept, expected = [], []
+    for line in lines:
+        if kind is not None and len(line.split()) == 9:
+            continue
+        try:
+            expected.append(_library_fields(line, form))
+        except GeometryError:
+            continue  # repeated vertices have no shortest-side form
+        kept.append(line)
+    assert len(kept) > 900
+    batch = tmp_path / "batch.txt"
+    batch.write_text("\n".join(kept) + "\n", encoding="utf-8")
+    argv = ["normalize", "--batch", str(batch)] + ([] if kind is None else ["--kind", kind])
+    records = run_json(capsys, *argv)
+    assert len(records) == len(kept)
+    for line, rec, want in zip(kept, records, expected):
+        for key, value in want.items():
+            got = tuple(rec[key]) if isinstance(value, tuple) else rec[key]
+            assert repr(got) == repr(value), (line, key)
+
+
+@pytest.mark.parametrize(
+    "text, code, message",
+    [
+        # the parse stage reads every line before any record is computed
+        (
+            "points 0 0 0 0 0 0\nsides 3 4 5\npoints 0 0 1 0 inf 1\n",
+            2,
+            "ValueError: line 3: point coordinates must be finite, got (inf, 1.0)",
+        ),
+        (
+            "sides 3 4 5\npoints 1 1 1 1 1 1 1 1\n",
+            3,
+            "DegenerateQuad: line 2: quadrilateral needs at least two distinct vertices",
+        ),
+        (
+            "points 2 2 2 2 2 2\n",
+            2,
+            "ValueError: line 1: triangle needs at least two distinct vertices",
+        ),
+        (
+            "points 0 0 1 0 1 1 0 1\npoints 0 0 1\n",
+            2,
+            "ValueError: line 2: expected 3 or 4 points, got 1.5",
+        ),
+    ],
+)
+def test_batch_errors_keep_their_order_and_messages(tmp_path, capsys, text, code, message):
+    batch = tmp_path / "batch.txt"
+    batch.write_text(text, encoding="utf-8")
+    assert run(capsys, "normalize", "--batch", str(batch)) == (code, "", f"error: {message}\n")
 
 
 def test_structured_batch_lines_are_canonical_json(tmp_path, capsys):
