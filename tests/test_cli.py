@@ -715,6 +715,132 @@ def test_write_failure_exit_code(tmp_path, capsys):
     assert code == 4
 
 
+# record layout
+
+# (argv, the whole text-mode stdout); every field a record holds, in order
+LAYOUTS = [
+    (
+        "normalize --sides 2 3 4",
+        "command: normalize\n"
+        "form_kind: c\n"
+        "normal_point: (0.65625, 0.3630921887069453)\n"
+        "in_domain: true\n"
+        "angle_class: obtuse\n"
+        "side_class: scalene\n"
+        "angles: (0.5053605102841573, 0.8127555613686607, 1.8234765819369754)\n"
+        "side_ratios: (0.5, 0.75, 1.0)\n",
+    ),
+    (
+        "normalize --sides 2 3 4 --kind a",
+        "command: normalize\n"
+        "form_kind: a\n"
+        "normal_point: (1.375, 1.4523687548277813)\n"
+        "in_domain: true\n"
+        "angle_class: obtuse\n"
+        "side_class: scalene\n"
+        "angles: (0.5053605102841573, 0.8127555613686607, 1.8234765819369754)\n"
+        "side_ratios: (0.5, 0.75, 1.0)\n",
+    ),
+    (
+        "normalize --sides 2 3 4 --kind circle",
+        "command: normalize\n"
+        "form_kind: circle\n"
+        "circle_vertices: (-0.05468750000000003, 0.9985035189440996); "
+        "(0.53125, -0.8472151069828724); (1.0, 0.0)\n"
+        "angle_class: obtuse\n"
+        "side_class: scalene\n"
+        "angles: (0.5053605102841573, 0.8127555613686607, 1.8234765819369754)\n"
+        "side_ratios: (0.5, 0.75, 1.0)\n",
+    ),
+    (
+        "normalize --sides 1 2 3",
+        "command: normalize\n"
+        "form_kind: c\n"
+        "normal_point: (0.6666666666666666, 0.0)\n"
+        "in_domain: true\n"
+        "angle_class: degenerate\n"
+        "side_class: scalene\n"
+        "side_ratios: (0.3333333333333333, 0.6666666666666666, 1.0)\n"
+        "degenerate: true\n",
+    ),
+    (
+        "normalize --points 0,0 2,0 3,1 0,1",
+        "command: normalize\n"
+        "quad_c: (0.9, 0.3)\n"
+        "quad_d: (0.4, -0.19999999999999998)\n"
+        "in_domain: true\n",
+    ),
+    (
+        "classify --sides 2 3 4",
+        "command: classify\n"
+        "angle_class: obtuse\n"
+        "side_class: scalene\n"
+        "angles: (0.5053605102841573, 0.8127555613686607, 1.8234765819369754)\n"
+        "side_ratios: (0.5, 0.75, 1.0)\n",
+    ),
+    (
+        "classify --points 0,0 1,0 2,0",
+        "command: classify\n"
+        "angle_class: degenerate\n"
+        "side_class: isosceles\n"
+        "side_ratios: (0.5, 0.5, 1.0)\n",
+    ),
+    (
+        "convert --point 0.64,0.48 --kind c",
+        "command: convert\n"
+        "form_kind: c\n"
+        "normal_point: (0.64, 0.48)\n"
+        "angles: (0.6435011087932844, 0.9272952180016122, 1.5707963267948966)\n"
+        "side_ratios: (0.6, 0.7999999999999999, 1.0)\n",
+    ),
+    (
+        "convert --point 0.75,0 --kind c",
+        "command: convert\n"
+        "form_kind: c\n"
+        "normal_point: (0.75, 0.0)\n"
+        "degenerate: true\n",
+    ),
+    (
+        "similar --a-sides 3 4 5 --b-points 0,0 6,0 0,8",
+        "command: similar\n"
+        "similar: true\n"
+        "key_a: (0.64, 0.48)\n"
+        "key_b: (0.64, 0.48)\n",
+    ),
+    (
+        "domains --kind c --out d.svg",
+        "command: domains\n"
+        "outputs: (d.svg)\n",
+    ),
+    (
+        "plot --sides 3 4 5 --out p.svg",
+        "command: plot\n"
+        "form_kind: c\n"
+        "normal_point: (0.64, 0.48)\n"
+        "outputs: (p.svg)\n",
+    ),
+    (
+        "plot --sides 3 4 5 --kind circle --out q.svg",
+        "command: plot\n"
+        "form_kind: circle\n"
+        "circle_vertices: (-0.2799999999999999, 0.9600000000000001); (0.28, -0.96); (1.0, 0.0)\n"
+        "outputs: (q.svg)\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, text", LAYOUTS, ids=[argv for argv, _ in LAYOUTS])
+def test_each_record_prints_its_set_fields_in_order(tmp_path, capsys, monkeypatch, argv, text):
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, *argv.split()) == (0, text, "")
+    code, out, err = run(capsys, *argv.split(), "--format", "structured")
+    assert (code, err) == (0, "")
+    # an unset field is left out, never written as null
+    assert out.count("\n") == 1 and "null" not in out
+    (rec,) = run_json(capsys, *argv.split())
+    assert list(rec) == sorted(line.split(":", 1)[0] for line in text.splitlines())
+
+
 # record serialization
 
 
