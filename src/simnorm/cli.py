@@ -1,7 +1,10 @@
 """Command line interface: normalize, classify, convert, compare, draw.
 
-Every command builds one or more ReportRecord values and prints them in
-either human-readable text or structured JSON (one record per line).
+Every command builds one or more records and prints them in either
+human-readable text or structured JSON (one record per line).  A record is
+a dict of its set fields, in the order command, form_kind, normal_point,
+circle_vertices, quad_c, quad_d, in_domain, angle_class, side_class,
+angles, side_ratios, degenerate, similar, key_a, key_b, outputs.
 Numbers are serialized with repr so 64-bit values round-trip exactly.
 
 Exit codes: 0 success, 2 parse or validation error, 3 domain error
@@ -25,7 +28,7 @@ from .conversions import (
     sides_from_angles,
 )
 from .errors import ArityMismatch, DegenerateAngles, DegenerateQuad, GeometryError, InvalidSides
-from .geometry import DEFAULT_TOL, Point, Tolerance, _set, _Value
+from .geometry import DEFAULT_TOL, Point, Tolerance
 from .quads import _forms_close, _in_d_region, _quad_form
 from .triangles import (
     _IN_REGION,
@@ -45,68 +48,6 @@ from .triangles import (
 )
 
 
-class ReportRecord(_Value):
-    """Flat serializable result of one computation; unset fields are None."""
-
-    __slots__ = (
-        "command", "form_kind", "normal_point", "circle_vertices", "quad_c", "quad_d",
-        "in_domain", "angle_class", "side_class", "angles", "side_ratios", "degenerate",
-        "similar", "key_a", "key_b", "outputs",
-    )
-    command: str
-    form_kind: str | None
-    normal_point: tuple[float, float] | None
-    circle_vertices: tuple[tuple[float, float], ...] | None
-    quad_c: tuple[float, float] | None
-    quad_d: tuple[float, float] | None
-    in_domain: bool | None
-    angle_class: str | None
-    side_class: str | None
-    angles: tuple[float, float, float] | None
-    side_ratios: tuple[float, float, float] | None
-    degenerate: bool | None
-    similar: bool | None
-    key_a: tuple[float, ...] | None
-    key_b: tuple[float, ...] | None
-    outputs: tuple[str, ...] | None
-
-    def __init__(
-        self, command, form_kind=None, normal_point=None, circle_vertices=None, quad_c=None,
-        quad_d=None, in_domain=None, angle_class=None, side_class=None, angles=None,
-        side_ratios=None, degenerate=None, similar=None, key_a=None, key_b=None, outputs=None,
-    ) -> None:
-        _set(self, "command", command)
-        _set(self, "form_kind", form_kind)
-        _set(self, "normal_point", normal_point)
-        _set(self, "circle_vertices", circle_vertices)
-        _set(self, "quad_c", quad_c)
-        _set(self, "quad_d", quad_d)
-        _set(self, "in_domain", in_domain)
-        _set(self, "angle_class", angle_class)
-        _set(self, "side_class", side_class)
-        _set(self, "angles", angles)
-        _set(self, "side_ratios", side_ratios)
-        _set(self, "degenerate", degenerate)
-        _set(self, "similar", similar)
-        _set(self, "key_a", key_a)
-        _set(self, "key_b", key_b)
-        _set(self, "outputs", outputs)
-
-    def to_dict(self) -> dict:
-        """The set fields in field order; tuples stay tuples, which json writes as arrays."""
-        return {k: v for k, v in zip(self.__slots__, self._fields(self)) if v is not None}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> ReportRecord:
-        return cls(**{k: _tupled(data[k]) for k in cls.__slots__ if k in data})
-
-
-def _tupled(value):
-    if isinstance(value, list):
-        return tuple(_tupled(v) for v in value)
-    return value
-
-
 def _format_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -123,7 +64,7 @@ def _format_value(value) -> str:
 _BLOCK = 4096
 
 
-def _emit(records: list[ReportRecord], fmt: str) -> None:
+def _emit(records: list[dict], fmt: str) -> None:
     if fmt == "structured":
         # imported here, so that text output never loads json; one encoder
         # for all records, and records hold only str, bool, float and tuples
@@ -131,12 +72,12 @@ def _emit(records: list[ReportRecord], fmt: str) -> None:
         import json
 
         encode = json.JSONEncoder(sort_keys=True, check_circular=False).encode
-        chunks = (encode(rec.to_dict()) + "\n" for rec in records)
+        chunks = (encode(rec) + "\n" for rec in records)
     else:
         # a blank line between records
         chunks = (
             ("\n" if i else "")
-            + "\n".join([f"{k}: {_format_value(v)}" for k, v in rec.to_dict().items()])
+            + "\n".join([f"{k}: {_format_value(v)}" for k, v in rec.items()])
             + "\n"
             for i, rec in enumerate(records)
         )
@@ -257,47 +198,47 @@ def _form(kind: FormKind) -> _Form:
 
 def _triangle_record(
     command: str, shape: _Shape, form: _Form, tol: Tolerance, degrees: bool
-) -> ReportRecord:
+) -> dict:
     name, rank = form
     sides, (a, b, c), pc = _triangle_parts(shape)
     xc, yc = pc
     cls = _classify(xc, yc, a, b, c, tol)
-    ratios = (a / c, b / c, 1.0)
     ang = _point_angles(xc, yc, tol.eps)
-    angles = None if ang is DEGENERATE else _angles_out(ang.as_tuple(), degrees)
     if rank is None:
         if ang is DEGENERATE:
             raise DegenerateAngles(f"sides {(a, b, c)!r} describe a degenerate triangle")
         ref = circle_normal_form(ang)
-        return ReportRecord(
-            command=command,
-            form_kind=name,
-            circle_vertices=tuple(_point_pair(v) for v in ref.vertices),
-            angle_class=cls.angle_class.value,
-            side_class=cls.side_class.value,
-            angles=angles,
-            side_ratios=ratios,
-        )
-    if rank == 2:
-        p = pc
-    elif sides is not None:
-        p = _place(sides, rank, tol)
+        record = {
+            "command": command,
+            "form_kind": name,
+            "circle_vertices": tuple(_point_pair(v) for v in ref.vertices),
+        }
     else:
-        if rank == 0:
-            # the limit a point triangle meets in _place
-            _check_shortest_side(a, c, tol)
-        p = _point_from_sides(rank, a, b, c)
-    return ReportRecord(
-        command=command,
-        form_kind=name,
-        normal_point=p,
-        in_domain=_IN_REGION[rank](p[0], p[1], tol.eps),
-        angle_class=cls.angle_class.value,
-        side_class=cls.side_class.value,
-        angles=angles,
-        side_ratios=ratios,
-        degenerate=True if angles is None else None,
-    )
+        if rank == 2:
+            p = pc
+        elif sides is not None:
+            p = _place(sides, rank, tol)
+        else:
+            if rank == 0:
+                # the limit a point triangle meets in _place
+                _check_shortest_side(a, c, tol)
+            p = _point_from_sides(rank, a, b, c)
+        record = {
+            "command": command,
+            "form_kind": name,
+            "normal_point": p,
+            "in_domain": _IN_REGION[rank](p[0], p[1], tol.eps),
+        }
+    # _value_ is the member's value itself; .value reaches it through a
+    # descriptor call on every record
+    record["angle_class"] = cls.angle_class._value_
+    record["side_class"] = cls.side_class._value_
+    if ang is not DEGENERATE:
+        record["angles"] = _angles_out(ang.as_tuple(), degrees)
+    record["side_ratios"] = (a / c, b / c, 1.0)
+    if ang is DEGENERATE:
+        record["degenerate"] = True
+    return record
 
 
 def _quad_parts(shape: _Shape, tol: Tolerance) -> tuple[float, float, float, float]:
@@ -310,15 +251,15 @@ def _quad_parts(shape: _Shape, tol: Tolerance) -> tuple[float, float, float, flo
     return _quad_form(*shape, tol.eps)
 
 
-def _quad_record(command: str, shape: _Shape, tol: Tolerance) -> ReportRecord:
+def _quad_record(command: str, shape: _Shape, tol: Tolerance) -> dict:
     cx, cy, dx, dy = _quad_parts(shape, tol)
     e = tol.eps
-    return ReportRecord(
-        command=command,
-        quad_c=(cx, cy),
-        quad_d=(dx, dy),
-        in_domain=_in_c_region(cx, cy, e) and _in_d_region(dx, dy, cx, cy, e),
-    )
+    return {
+        "command": command,
+        "quad_c": (cx, cy),
+        "quad_d": (dx, dy),
+        "in_domain": _in_c_region(cx, cy, e) and _in_d_region(dx, dy, cx, cy, e),
+    }
 
 
 def _kind_from_args(args) -> FormKind:
@@ -340,7 +281,7 @@ def _batch_shapes(path: str, degrees: bool) -> list[tuple[int, _Shape]]:
     return shapes
 
 
-def _cmd_normalize(args, tol: Tolerance) -> list[ReportRecord]:
+def _cmd_normalize(args, tol: Tolerance) -> list[dict]:
     if args.batch is not None:
         numbered = _batch_shapes(args.batch, args.degrees)
     else:
@@ -363,21 +304,19 @@ def _cmd_normalize(args, tol: Tolerance) -> list[ReportRecord]:
     return records
 
 
-def _cmd_classify(args, tol: Tolerance) -> list[ReportRecord]:
+def _picked(record: dict, keys: tuple[str, ...]) -> dict:
+    """The fields of record named in keys, in record order; a missing one is left out."""
+    return {k: v for k, v in record.items() if k in keys}
+
+
+def _cmd_classify(args, tol: Tolerance) -> list[dict]:
     shape = _shape_from_args(args)
     record = _triangle_record("classify", shape, _form(FormKind.C_VERTEX), tol, args.degrees)
-    return [
-        ReportRecord(
-            command="classify",
-            angle_class=record.angle_class,
-            side_class=record.side_class,
-            angles=record.angles,
-            side_ratios=record.side_ratios,
-        )
-    ]
+    picked = _picked(record, ("angle_class", "side_class", "angles", "side_ratios"))
+    return [{"command": "classify", **picked}]
 
 
-def _cmd_convert(args, tol: Tolerance) -> list[ReportRecord]:
+def _cmd_convert(args, tol: Tolerance) -> list[dict]:
     kind = _kind_from_args(args)
     if args.point is not None:
         p = Point(*_coords(args.point))
@@ -389,30 +328,30 @@ def _cmd_convert(args, tol: Tolerance) -> list[ReportRecord]:
         recovered = angles_from_normal_point(kind, p, tol)
         if recovered is DEGENERATE:
             return [
-                ReportRecord(
-                    command="convert",
-                    form_kind=kind.value,
-                    normal_point=_point_pair(p),
-                    degenerate=True,
-                )
+                {
+                    "command": "convert",
+                    "form_kind": kind.value,
+                    "normal_point": _point_pair(p),
+                    "degenerate": True,
+                }
             ]
         s = sides_from_angles(recovered, kind)
         if kind is FormKind.A_VERTEX:
             # far up the unbounded region: the limit the other routes meet
             _check_shortest_side(s.a, s.c, tol)
         return [
-            ReportRecord(
-                command="convert",
-                form_kind=kind.value,
-                normal_point=_point_pair(p),
-                angles=_angles_out(recovered.as_tuple(), args.degrees),
-                side_ratios=s.ratios(),
-            )
+            {
+                "command": "convert",
+                "form_kind": kind.value,
+                "normal_point": _point_pair(p),
+                "angles": _angles_out(recovered.as_tuple(), args.degrees),
+                "side_ratios": s.ratios(),
+            }
         ]
     return [_triangle_record("convert", _shape_from_args(args), _form(kind), tol, args.degrees)]
 
 
-def _cmd_similar(args, tol: Tolerance) -> list[ReportRecord]:
+def _cmd_similar(args, tol: Tolerance) -> list[dict]:
     a = _shape_from_args(args, "a_")
     b = _shape_from_args(args, "b_")
     if _arity(a) != _arity(b):
@@ -424,12 +363,10 @@ def _cmd_similar(args, tol: Tolerance) -> list[ReportRecord]:
         key_a = _triangle_parts(a)[2]
         key_b = _triangle_parts(b)[2]
     verdict = _forms_close(key_a, key_b, tol.eps)
-    return [
-        ReportRecord(command="similar", similar=verdict, key_a=key_a, key_b=key_b)
-    ]
+    return [{"command": "similar", "similar": verdict, "key_a": key_a, "key_b": key_b}]
 
 
-def _cmd_quad_normalize(args, tol: Tolerance) -> list[ReportRecord]:
+def _cmd_quad_normalize(args, tol: Tolerance) -> list[dict]:
     shape = _shape_from_args(args)
     if _arity(shape) != 4:
         raise ArityMismatch("quad-normalize needs exactly 4 points")
@@ -447,7 +384,7 @@ def _write_text(path: str, text: str) -> None:
 _ALL_KINDS = (FormKind.A_VERTEX, FormKind.B_VERTEX, FormKind.C_VERTEX, FormKind.CIRCLE)
 
 
-def _cmd_domains(args, tol: Tolerance) -> list[ReportRecord]:
+def _cmd_domains(args, tol: Tolerance) -> list[dict]:
     # deferred here and in _cmd_plot: only the drawing commands need figures,
     # and importing it at module level slows every other command's start-up
     from .figures import domain_figure, render_svg
@@ -461,32 +398,25 @@ def _cmd_domains(args, tol: Tolerance) -> list[ReportRecord]:
         paths = [args.out if args.out is not None else f"domain_{args.kind}.svg"]
     for kind, path in zip(kinds, paths):
         _write_text(path, render_svg(domain_figure(kind)))
-    return [ReportRecord(command="domains", outputs=tuple(paths))]
+    return [{"command": "domains", "outputs": tuple(paths)}]
 
 
-def _cmd_plot(args, tol: Tolerance) -> list[ReportRecord]:
+def _cmd_plot(args, tol: Tolerance) -> list[dict]:
     from .figures import domain_figure, render_svg, with_point, with_triangle
 
     kind = _kind_from_args(args)
     record = _triangle_record("plot", _shape_from_args(args), _form(kind), tol, args.degrees)
     fig = domain_figure(kind)
     if kind is FormKind.CIRCLE:
-        verts = tuple(Point(x, y) for x, y in record.circle_vertices)
+        verts = tuple(Point(x, y) for x, y in record["circle_vertices"])
         fig = with_triangle(fig, Triangle(verts))
     else:
-        x, y = record.normal_point
+        x, y = record["normal_point"]
         fig = with_point(fig, Point(x, y), f"({x:.4f}, {y:.4f})")
     path = args.out if args.out is not None else f"plot_{kind.value}.svg"
     _write_text(path, render_svg(fig))
-    return [
-        ReportRecord(
-            command="plot",
-            form_kind=record.form_kind,
-            normal_point=record.normal_point,
-            circle_vertices=record.circle_vertices,
-            outputs=(path,),
-        )
-    ]
+    picked = _picked(record, ("form_kind", "normal_point", "circle_vertices"))
+    return [{"command": "plot", **picked, "outputs": (path,)}]
 
 
 def _add_shape_flags(parser: argparse.ArgumentParser, prefix: str = ""):

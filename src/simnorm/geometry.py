@@ -1,4 +1,4 @@
-"""Plane-geometry foundation: points, tolerances, similarity transforms, orderings.
+"""Plane-geometry foundation: points, tolerances, similarity transforms, reflections.
 
 Everything in this module is an immutable value or a pure function of its
 arguments, so it is safe to share between threads and to memoize.
@@ -58,8 +58,7 @@ class _Value:
 class Tolerance(_Value):
     """Absolute threshold used by the geometric predicates.
 
-    Orderings (lex_less and the quasilexicographic comparisons) stay exact;
-    only region membership, classification, and tie detection consult eps.
+    Region membership, classification, and tie detection consult eps.
     Comparisons are meaningful well below unit scale because every canonical
     configuration lives at unit scale, hence the hard upper bound on eps.
     """
@@ -139,14 +138,6 @@ class SimilarityTransform(_Value):
         _set(self, "reflect", reflect)
         _set(self, "translation", translation)
 
-    @classmethod
-    def identity(cls) -> SimilarityTransform:
-        return cls()
-
-    @property
-    def is_direct(self) -> bool:
-        return not self.reflect
-
     def apply(self, p: Point) -> Point:
         x, y = p.x, p.y
         if self.reflect:
@@ -156,19 +147,6 @@ class SimilarityTransform(_Value):
         return Point(
             self.scale * (cos_r * x - sin_r * y) + self.translation.x,
             self.scale * (sin_r * x + cos_r * y) + self.translation.y,
-        )
-
-    def compose(self, other: SimilarityTransform) -> SimilarityTransform:
-        """The transform acting as ``other`` first, then ``self``."""
-        if self.reflect:
-            rotation = self.rotation - other.rotation
-        else:
-            rotation = self.rotation + other.rotation
-        return SimilarityTransform(
-            scale=self.scale * other.scale,
-            rotation=rotation,
-            reflect=self.reflect != other.reflect,
-            translation=self.apply(other.translation),
         )
 
 
@@ -233,11 +211,6 @@ def _rescaled(xs: list[float], ys: list[float], d_max: float) -> tuple[list[floa
     return [math.ldexp(x, k) for x in xs], [math.ldexp(y, k) for y in ys]
 
 
-def lex_less(p: Point, q: Point) -> bool:
-    """Strict lexicographic order: first coordinates, then second. Exact."""
-    return p.x < q.x or (p.x == q.x and p.y < q.y)
-
-
 def reflect_normalize(p: Point) -> Point:
     """Map p into the quadrant x >= 1/2, y >= 0 by its mirror images.
 
@@ -248,26 +221,7 @@ def reflect_normalize(p: Point) -> Point:
     return Point(0.5 + abs(p.x - 0.5), abs(p.y))
 
 
-def quasilex_leq(p: Point, q: Point) -> bool:
-    """Total preorder: compare reflect-normalized images lexicographically."""
-    ps = reflect_normalize(p)
-    qs = reflect_normalize(q)
-    return lex_less(ps, qs) or (ps.x == qs.x and ps.y == qs.y)
-
-
 def quasilex_eq(p: Point, q: Point, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Tolerance-aware tie test: the normalized images coincide within tol."""
     return reflect_normalize(p).close_to(reflect_normalize(q), tol)
 
-
-def quasilex_pair_leq(pq: tuple[Point, Point], rs: tuple[Point, Point]) -> bool:
-    """Order on point pairs: leading points first, trailing points break ties."""
-    p, q = pq
-    r, s = rs
-    ps = reflect_normalize(p)
-    rs_ = reflect_normalize(r)
-    if lex_less(ps, rs_):
-        return True
-    if ps.x != rs_.x or ps.y != rs_.y:
-        return False
-    return quasilex_leq(q, s)

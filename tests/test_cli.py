@@ -31,7 +31,7 @@ from simnorm import (
     normalize_quad,
     sides_from_angles,
 )
-from simnorm.cli import ReportRecord, _emit, main
+from simnorm.cli import _emit, main
 
 
 def run(capsys, *argv):
@@ -650,8 +650,8 @@ def test_batch_writes_whole_records_in_pipe_sized_blocks(tmp_path, capsys, monke
 
 
 def test_emit_writes_a_long_record_on_its_own(monkeypatch):
-    small = ReportRecord(command="domains", outputs=("a.svg",))
-    long = ReportRecord(command="domains", outputs=("x" * 5000,))
+    small = {"command": "domains", "outputs": ("a.svg",)}
+    long = {"command": "domains", "outputs": ("x" * 5000,)}
     for fmt in ("structured", "text"):
         recorder = _Recorder()
         monkeypatch.setattr(sys, "stdout", recorder)
@@ -839,23 +839,6 @@ def test_each_record_prints_its_set_fields_in_order(tmp_path, capsys, monkeypatc
     assert out.count("\n") == 1 and "null" not in out
     (rec,) = run_json(capsys, *argv.split())
     assert list(rec) == sorted(line.split(":", 1)[0] for line in text.splitlines())
-
-
-# record serialization
-
-
-def test_report_record_roundtrip():
-    rec = ReportRecord(
-        command="normalize",
-        form_kind="c",
-        normal_point=(0.64, 0.48),
-        in_domain=True,
-        angle_class="right",
-        side_class="scalene",
-        angles=(0.5, 0.6, math.pi - 1.1),
-        side_ratios=(0.6, 0.8, 1.0),
-    )
-    assert ReportRecord.from_dict(rec.to_dict()) == rec
 
 
 def test_module_entrypoint_subprocess():

@@ -23,7 +23,6 @@ from simnorm import (
     Triangle,
     TriangleClass,
 )
-from simnorm.cli import ReportRecord
 
 P, Q, R, S = Point(0.0, 0.0), Point(2.0, 0.0), Point(2.0, 2.0), Point(0.0, 2.0)
 
@@ -64,14 +63,6 @@ CASES = [
         lambda: QuadNormalForm(Point(0.5, 0.5), Point(0.5, -0.5)),
         "QuadNormalForm(c=Point(x=0.5, y=0.5), d=Point(x=0.5, y=-0.5))",
         (Point(0.5, 0.5), Point(0.5, -0.5)),
-    ),
-    (
-        lambda: ReportRecord("normalize", normal_point=(0.64, 0.48), in_domain=True),
-        "ReportRecord(command='normalize', form_kind=None, normal_point=(0.64, 0.48), "
-        "circle_vertices=None, quad_c=None, quad_d=None, in_domain=True, angle_class=None, "
-        "side_class=None, angles=None, side_ratios=None, degenerate=None, similar=None, "
-        "key_a=None, key_b=None, outputs=None)",
-        ("normalize", None, (0.64, 0.48), None, None, None, True) + (None,) * 9,
     ),
 ]
 IDS = [text.split("(", 1)[0] for _, text, _ in CASES]
@@ -148,9 +139,6 @@ def test_positional_match_patterns(make, text, fields):
             got = (angle_class, side_class)
         case QuadNormalForm(c, d):
             got = (c, d)
-        case ReportRecord(command, form_kind, normal_point):
-            got = (command, form_kind, normal_point)
-            fields = fields[:3]
     assert got == fields
 
 
