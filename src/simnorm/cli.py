@@ -29,7 +29,7 @@ from .conversions import (
 )
 from .errors import ArityMismatch, DegenerateAngles, DegenerateQuad, GeometryError, InvalidSides
 from .geometry import DEFAULT_TOL, Point, Tolerance
-from .quads import _forms_close, _in_d_region, _quad_form
+from .quads import _in_d_region, _quad_form, _quads_similar
 from .triangles import (
     _IN_REGION,
     AngleTriple,
@@ -356,13 +356,15 @@ def _cmd_similar(args, tol: Tolerance) -> list[dict]:
     b = _shape_from_args(args, "b_")
     if _arity(a) != _arity(b):
         raise ArityMismatch(f"cannot compare arity {_arity(a)} with arity {_arity(b)}")
+    e = tol.eps
     if _arity(a) == 4:
         key_a = _quad_parts(a, tol)
         key_b = _quad_parts(b, tol)
+        verdict = _quads_similar(*a, *b, e)
     else:
         key_a = _triangle_parts(a)[2]
         key_b = _triangle_parts(b)[2]
-    verdict = _forms_close(key_a, key_b, tol.eps)
+        verdict = abs(key_a[0] - key_b[0]) <= e and abs(key_a[1] - key_b[1]) <= e
     return [{"command": "similar", "similar": verdict, "key_a": key_a, "key_b": key_b}]
 
 

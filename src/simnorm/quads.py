@@ -12,6 +12,11 @@ unless the point lies within eps of the x-axis or of x = 1/2, where the
 image across that axis is a candidate too.  The quasilexicographically
 largest candidate pair wins, so similar inputs land on identical
 representatives.
+
+The similarity test builds no form.  Those eps decisions make the form jump
+when rounding in a copy flips one of them, so quads_similar instead aligns
+q2 onto one extreme pair of q1 and compares the carried points within eps,
+with no choice of pair or lead that rounding could flip.
 """
 
 from __future__ import annotations
@@ -113,6 +118,23 @@ def _pair_distances(
     )
 
 
+def _frame(
+    x0: float, y0: float, x1: float, y1: float, x2: float, y2: float, x3: float, y3: float
+) -> tuple[tuple[float, ...], float, tuple[complex, complex, complex, complex]]:
+    """The six pair distances, their maximum and the vertices as complex numbers.
+
+    When the largest distance lies outside [_TINY, _HUGE], all three come
+    from the copy rescaled by one exact power of two.
+    """
+    dists = _pair_distances(x0, y0, x1, y1, x2, y2, x3, y3)
+    d_max = max(dists)
+    if not _TINY <= d_max <= _HUGE:
+        (x0, x1, x2, x3), (y0, y1, y2, y3) = _rescaled([x0, x1, x2, x3], [y0, y1, y2, y3], d_max)
+        dists = _pair_distances(x0, y0, x1, y1, x2, y2, x3, y3)
+        d_max = max(dists)
+    return dists, d_max, (complex(x0, y0), complex(x1, y1), complex(x2, y2), complex(x3, y3))
+
+
 def normalize_quad(q: Quadrilateral, tol: Tolerance = DEFAULT_TOL) -> QuadNormalForm:
     """Canonical representative of q's similarity class.
 
@@ -146,16 +168,10 @@ def _quad_form(
     e: float,
 ) -> tuple[float, float, float, float]:
     """normalize_quad of the vertices (x0, y0) ... (x3, y3) as (cx, cy, dx, dy)."""
-    dists = _pair_distances(x0, y0, x1, y1, x2, y2, x3, y3)
-    d_max = max(dists)
-    if not _TINY <= d_max <= _HUGE:
-        (x0, x1, x2, x3), (y0, y1, y2, y3) = _rescaled([x0, x1, x2, x3], [y0, y1, y2, y3], d_max)
-        dists = _pair_distances(x0, y0, x1, y1, x2, y2, x3, y3)
-        d_max = max(dists)
+    dists, d_max, z = _frame(x0, y0, x1, y1, x2, y2, x3, y3)
     limit = d_max * (1.0 - e)
     low = 0.5 - e
 
-    z = (complex(x0, y0), complex(x1, y1), complex(x2, y2), complex(x3, y3))
     best: tuple[float, ...] | None = None
     for (i, j, k, m), dist in zip(_PAIR_SPLITS, dists):
         if dist < limit:
@@ -218,18 +234,60 @@ def _quad_form(
 
 
 def quads_similar(q1: Quadrilateral, q2: Quadrilateral, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Similarity test via canonical representatives, compared within tol.eps."""
-    e = tol.eps
+    """Similarity test by aligning q2 onto one extreme pair of q1.
+
+    q1's first pair at the largest distance is sent to the anchors, which
+    carries its other two points to (a, b).  Every pair of q2 within 4*eps
+    (relative) of q2's largest distance is sent to the anchors in one
+    endpoint order, carrying (u, v).  q1 and q2 are similar when, for one
+    such pair, (u, v) matches within eps in each coordinate one of the four
+    anchor-fixing images of (a, b) -- w, its conjugate, 1 - w or 1 - conj(w)
+    applied to both -- in either order.  Swapping the endpoints maps every
+    carried w to 1 - w, one of those images, so one order suffices.  No
+    normal form is built and nothing picks a lead, so rounding at an eps
+    tie, which can make normalize_quad jump, cannot flip the verdict.
+    """
     p0, p1, p2, p3 = q1.vertices
-    f1 = _quad_form(p0.x, p0.y, p1.x, p1.y, p2.x, p2.y, p3.x, p3.y, e)
-    p0, p1, p2, p3 = q2.vertices
-    f2 = _quad_form(p0.x, p0.y, p1.x, p1.y, p2.x, p2.y, p3.x, p3.y, e)
-    return _forms_close(f1, f2, e)
+    r0, r1, r2, r3 = q2.vertices
+    return _quads_similar(
+        p0.x, p0.y, p1.x, p1.y, p2.x, p2.y, p3.x, p3.y,
+        r0.x, r0.y, r1.x, r1.y, r2.x, r2.y, r3.x, r3.y,
+        tol.eps,
+    )
 
 
-def _forms_close(f1: tuple[float, ...], f2: tuple[float, ...], e: float) -> bool:
-    """Two forms as flat coordinates agree within e, as Point.close_to on each point."""
-    return all(abs(u - v) <= e for u, v in zip(f1, f2))
+def _quads_similar(
+    x0: float, y0: float, x1: float, y1: float, x2: float, y2: float, x3: float, y3: float,
+    s0: float, t0: float, s1: float, t1: float, s2: float, t2: float, s3: float, t3: float,
+    e: float,
+) -> bool:
+    """quads_similar of the vertices (x0, y0) ... (x3, y3) and (s0, t0) ... (s3, t3)."""
+    dists, d_max, z = _frame(x0, y0, x1, y1, x2, y2, x3, y3)
+    i, j, k, m = _PAIR_SPLITS[dists.index(d_max)]
+    den = z[j] - z[i]
+    a = (z[k] - z[i]) / den
+    b = (z[m] - z[i]) / den
+    ax, ay, bx, by = a.real, a.imag, b.real, b.imag
+    rx, sx = 1.0 - ax, 1.0 - bx
+    # the anchor-fixing images of (a, b), each in both orders, as (ux, uy, vx, vy)
+    images = (
+        (ax, ay, bx, by), (ax, -ay, bx, -by), (rx, ay, sx, by), (rx, -ay, sx, -by),
+        (bx, by, ax, ay), (bx, -by, ax, -ay), (sx, by, rx, ay), (sx, -by, rx, -ay),
+    )
+
+    dists, d_max, z = _frame(s0, t0, s1, t1, s2, t2, s3, t3)
+    limit = d_max * (1.0 - 4.0 * e)
+    for (i, j, k, m), dist in zip(_PAIR_SPLITS, dists):
+        if dist < limit:
+            continue
+        den = z[j] - z[i]
+        u = (z[k] - z[i]) / den
+        v = (z[m] - z[i]) / den
+        ux, uy, vx, vy = u.real, u.imag, v.real, v.imag
+        for px, py, qx, qy in images:
+            if abs(ux - px) <= e and abs(uy - py) <= e and abs(vx - qx) <= e and abs(vy - qy) <= e:
+                return True
+    return False
 
 
 def reflection_orbit_type_count(c: Point, d: Point, tol: Tolerance = DEFAULT_TOL) -> int:

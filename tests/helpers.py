@@ -155,3 +155,48 @@ def rand_quad(rng: random.Random, special_fraction: float = 0.0, span: float = 1
         rng.shuffle(verts)
         return Quadrilateral.of(*verts)
     return Quadrilateral.of(*(rand_point(rng, span) for _ in range(4)))
+
+
+def _threshold_quad(c: tuple[float, float], d: tuple[float, float]) -> Quadrilateral:
+    return Quadrilateral.of(Point(0.0, 0.0), Point(1.0, 0.0), Point(*c), Point(*d))
+
+
+def _lens_distances(c: tuple[float, float], d: tuple[float, float]) -> list[float]:
+    """The distances among the anchors (0,0), (1,0) and c, d, except the anchor pair's."""
+    return [math.dist(p, q) for p, q in ((c, (0.0, 0.0)), (c, (1.0, 0.0)), (d, (0.0, 0.0)), (d, (1.0, 0.0)), (c, d))]
+
+
+def extreme_tie_quad(rng: random.Random, eps: float) -> Quadrilateral:
+    """A quad whose second-longest pair ties the longest at relative eps.
+
+    The anchors (0,0) and (1,0) are the longest pair; c lies at distance
+    1 - eps * (1 +- 1e-7) from the origin, so a similar copy's rounding
+    decides whether normalize_quad counts the pair (0, c) as extreme too.
+    """
+    r = 1.0 - eps * (1.0 + rng.choice((1e-7, -1e-7)))
+    angle = rng.uniform(0.3, 0.9) * rng.choice((1.0, -1.0))
+    c = (r * math.cos(angle), r * math.sin(angle))
+    while True:
+        d = (rng.uniform(0.1, 0.9), rng.uniform(-0.6, 0.6))
+        dists = _lens_distances(c, d)
+        if max(dists[2:]) < 0.9 and dists[4] > 0.05:
+            return _threshold_quad(c, d)
+
+
+def lead_tie_quad(rng: random.Random, eps: float) -> Quadrilateral:
+    """A quad whose carried points tie for the lead at eps.
+
+    The anchors (0,0) and (1,0) are the unique longest pair, and the fold
+    distances of c and d from x = 1/2 differ by eps * (1 +- 1e-7), so a
+    similar copy's rounding decides which of them normalize_quad lets lead.
+    """
+    while True:
+        f = rng.uniform(0.05, 0.3)
+        g = f + eps * (1.0 + rng.choice((1e-7, -1e-7)))
+        c = (0.5 + rng.choice((1.0, -1.0)) * f, rng.uniform(0.1, 0.6) * rng.choice((1.0, -1.0)))
+        d = (0.5 + rng.choice((1.0, -1.0)) * g, rng.uniform(0.1, 0.6) * rng.choice((1.0, -1.0)))
+        if rng.random() < 0.5:
+            c, d = d, c
+        dists = _lens_distances(c, d)
+        if max(dists) < 0.95 and dists[4] > 0.05:
+            return _threshold_quad(c, d)

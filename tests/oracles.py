@@ -17,6 +17,7 @@ from simnorm import (
     Tolerance,
     Triangle,
     distance,
+    normalize_quad,
     reflect_normalize,
     similarity_from_segment,
 )
@@ -275,6 +276,16 @@ def quads_similar_bruteforce(
                 ):
                     return True
     return False
+
+
+def forms_close_verdict(q1: Quadrilateral, q2: Quadrilateral, tol: Tolerance = DEFAULT_TOL) -> bool:
+    """Similarity test by comparing the two normal forms within tol.eps.
+
+    Away from the eps ties of normalize_quad it agrees with quads_similar.
+    At a tie, rounding in a copy can make one form jump by O(1), and this
+    rule then rejects a true copy.
+    """
+    return normalize_quad(q1, tol).close_to(normalize_quad(q2, tol), tol)
 
 
 def shoelace_area(p: Point, q: Point, r: Point) -> float:

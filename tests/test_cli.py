@@ -278,6 +278,21 @@ def test_similar_quads(capsys):
     assert rec["similar"] is True
 
 
+def test_similar_quads_accepts_a_copy_whose_form_jumps(capsys):
+    # a rotated copy whose normal form differs from the original's by O(1):
+    # a pair ties the extreme one at eps, and rounding decides the tie
+    code, out, _ = run(
+        capsys,
+        "similar",
+        "--a-points", "0.0,0.0", "1.0,0.0", "0.9818776319265865,0.18951599911943762",
+        "0.8674590942690182,-0.22112537682646205",
+        "--b-points", "0.0,0.0", "0.07485957623674079,-0.9971940853443002",
+        "0.2624871768423776,-0.9649354797048962", "-0.15556729769119185,-0.8815784300876073",
+    )
+    assert code == 0
+    assert "similar: true\n" in out
+
+
 def test_similar_arity_mismatch(capsys):
     code, _, err = run(
         capsys, "similar", "--a-sides", "3", "4", "5", "--b-points", "0,0", "1,0", "1,1", "0,1"

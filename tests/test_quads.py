@@ -6,8 +6,20 @@ import random
 
 import pytest
 
-from helpers import apply_to_quad, permuted_quad, rand_quad, rand_transform
-from oracles import _reflection_images, pointwise_normalize_quad, quads_similar_bruteforce
+from helpers import (
+    apply_to_quad,
+    extreme_tie_quad,
+    lead_tie_quad,
+    permuted_quad,
+    rand_quad,
+    rand_transform,
+)
+from oracles import (
+    _reflection_images,
+    forms_close_verdict,
+    pointwise_normalize_quad,
+    quads_similar_bruteforce,
+)
 from simnorm import (
     ANCHOR_A,
     ANCHOR_B,
@@ -24,7 +36,7 @@ from simnorm import (
     quads_similar,
     reflection_orbit_type_count,
 )
-from simnorm import quads
+from simnorm import SimilarityTransform, quads
 
 TOL = Tolerance(1e-9)
 
@@ -307,6 +319,108 @@ def test_quads_similar_matches_bruteforce_oracle():
             q1 = rand_quad(rng)
             q2 = rand_quad(rng)
         assert quads_similar(q1, q2) == quads_similar_bruteforce(q1, q2)
+
+
+def _copy(rng, q):
+    return permuted_quad(rng, apply_to_quad(rand_transform(rng), q))
+
+
+@pytest.mark.parametrize("make", [extreme_tie_quad, lead_tie_quad])
+def test_threshold_copies_are_similar_and_unrelated_ones_are_not(make):
+    # rounding in a copy flips normalize_quad's tie decision here, and with
+    # it the form by O(1); the verdict must not follow it
+    eps = TOL.eps
+    rng = random.Random(612)
+    for _ in range(400):
+        q = make(rng, eps)
+        image = _copy(rng, q)
+        assert quads_similar_bruteforce(q, image, TOL)
+        assert quads_similar(q, image, TOL), (q, image)
+        assert quads_similar(image, q, TOL), (q, image)
+    for _ in range(100):
+        q1 = make(rng, eps)
+        q2 = _copy(rng, make(rng, eps))
+        assert not quads_similar_bruteforce(q1, q2, TOL)
+        assert not quads_similar(q1, q2, TOL), (q1, q2)
+
+
+def _base_pairs(rng):
+    """Special-heavy quads paired with themselves, then unrelated generic pairs."""
+    for _ in range(40):
+        q = rand_quad(rng, special_fraction=0.5)
+        yield q, q, True
+    for _ in range(40):
+        yield rand_quad(rng), rand_quad(rng), False
+
+
+def _verdict_pairs(rng):
+    for q1, q2, similar in _base_pairs(rng):
+        yield q1, _copy(rng, q2), similar
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-4])
+def test_quads_similar_is_symmetric(eps):
+    tol = Tolerance(eps)
+    for q1, q2, similar in _verdict_pairs(random.Random(613)):
+        assert quads_similar(q1, q2, tol) is similar
+        assert quads_similar(q2, q1, tol) is similar
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-4])
+def test_quads_similar_ignores_the_vertex_order(eps):
+    tol = Tolerance(eps)
+    for q1, q2, similar in _verdict_pairs(random.Random(614)):
+        for perm in itertools.permutations(q2.vertices):
+            assert quads_similar(q1, Quadrilateral.of(*perm), tol) is similar
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-4])
+def test_quads_similar_holds_across_the_float_range(eps):
+    # the largest distance of each copy falls outside [2**-969, 2**960], so
+    # both quads of a pair are aligned on their rescaled frames
+    tol = Tolerance(eps)
+    rng = random.Random(615)
+    for q1, q2, similar in _base_pairs(rng):
+        for scale in (1e-310, 1e-300, 1e300, 1e307):
+            g = SimilarityTransform(
+                scale=scale,
+                rotation=rng.uniform(-math.pi, math.pi),
+                reflect=rng.random() < 0.5,
+                translation=Point(scale * rng.uniform(-2.0, 2.0), scale * rng.uniform(-2.0, 2.0)),
+            )
+            image = permuted_quad(rng, apply_to_quad(g, q2))
+            assert quads_similar(q1, image, tol) is similar, (q1, image)
+            assert quads_similar(image, q1, tol) is similar, (q1, image)
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-4])
+def test_quads_similar_matches_the_forms_close_verdict_away_from_ties(eps):
+    tol = Tolerance(eps)
+    rng = random.Random(616)
+    for _ in range(200):
+        q = rand_quad(rng, special_fraction=0.5)
+        image = _copy(rng, q)
+        assert quads_similar(q, image, tol) is forms_close_verdict(q, image, tol) is True
+        q1 = rand_quad(rng, special_fraction=0.5)
+        q2 = rand_quad(rng, special_fraction=0.5)
+        assert quads_similar(q1, q2, tol) is forms_close_verdict(q1, q2, tol)
+
+
+def test_quads_similar_builds_no_normal_form(monkeypatch):
+    calls = []
+    quad_form = quads._quad_form
+
+    def counting_quad_form(*args):
+        calls.append(args)
+        return quad_form(*args)
+
+    monkeypatch.setattr(quads, "_quad_form", counting_quad_form)
+    rng = random.Random(617)
+    for _ in range(20):
+        q = rand_quad(rng, special_fraction=0.5)
+        assert quads_similar(q, _copy(rng, q))
+        quads_similar(q, rand_quad(rng))
+    assert calls == []
 
 
 # reflection orbits
