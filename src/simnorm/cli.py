@@ -34,9 +34,9 @@ from .triangles import (
     _IN_REGION,
     AngleTriple,
     FormKind,
-    SideLengths,
     Triangle,
     _check_shortest_side,
+    _check_sides,
     _classify,
     _in_c_region,
     _lengths,
@@ -62,49 +62,63 @@ def _format_value(value) -> str:
 
 # the most a write carries: PIPE_BUF on Linux
 _BLOCK = 4096
+_GROUP = 64  # the records one call of the JSON encoder takes
+
+
+def _json_lines(records: list[dict]):
+    # imported here, so that text output never loads json; records hold no cycle
+    import json
+
+    encode = json.JSONEncoder(sort_keys=True, check_circular=False).encode
+    for i in range(0, len(records), _GROUP):
+        group = records[i : i + _GROUP]
+        text = encode(group)[1:-1]
+        if text.count("}, {") == len(group) - 1:
+            yield from text.replace("}, {", "}\n{").split("\n")
+        else:
+            yield from map(encode, group)
 
 
 def _emit(records: list[dict], fmt: str) -> None:
-    if fmt == "structured":
-        # imported here, so that text output never loads json; one encoder
-        # for all records, and records hold only str, bool, float and tuples
-        # of these, so they cannot contain a cycle
-        import json
+    """Write the records to stdout, as JSON lines or as blocks of text.
 
-        encode = json.JSONEncoder(sort_keys=True, check_circular=False).encode
-        chunks = (encode(rec) + "\n" for rec in records)
+    JSON is encoded _GROUP records per call, cheaper than a call per record,
+    and each "}, {" between two records becomes a line break.  No record
+    value is a dict, so the text occurs elsewhere only in a string (a file
+    name, say): a group with extra ones goes a record at a time, unsplit.
+    """
+    if fmt == "structured":
+        chunks = _json_lines(records)
     else:
         # a blank line between records
         chunks = (
-            ("\n" if i else "")
-            + "\n".join([f"{k}: {_format_value(v)}" for k, v in rec.items()])
-            + "\n"
+            ("\n" if i else "") + "\n".join([f"{k}: {_format_value(v)}" for k, v in rec.items()])
             for i, rec in enumerate(records)
         )
-    # The chunks are made one at a time, so no more than a block of text is
-    # held.  Whole records go out in blocks of at most _BLOCK characters,
-    # which are bytes for the ASCII records a batch writes; a longer record
-    # goes out on its own.  An unbuffered stdout hands each write to one os.write.  On a
-    # pipe, a write of up to PIPE_BUF bytes is atomic, so a reader that leaves
-    # makes it fail with EPIPE (exit 4) and never return short with the rest
-    # of the block lost silently, as one large write would.
+    # The chunks, records without their line break, are made lazily.  Whole
+    # records go out in blocks of at most _BLOCK characters, line breaks
+    # included, which are bytes for the ASCII records a batch writes; a longer
+    # record goes out on its own.  An unbuffered stdout hands each write to one
+    # os.write.  On a pipe, a write of up to PIPE_BUF bytes is atomic, so a
+    # reader that leaves makes it fail with EPIPE (exit 4) and never return
+    # short with the rest of the block lost silently, as one large write would.
     write = sys.stdout.write
     block = []
     size = 0
     for chunk in chunks:
-        if size + len(chunk) > _BLOCK and block:
-            write("".join(block))
+        if size + len(chunk) + 1 > _BLOCK and block:
+            write("\n".join(block) + "\n")
             block = []
             size = 0
         block.append(chunk)
-        size += len(chunk)
+        size += len(chunk) + 1
     if block:
-        write("".join(block))
+        write("\n".join(block) + "\n")
 
 
 # a shape is 3 or 4 vertices as a flat tuple of 6 or 8 finite coordinates,
-# or side lengths
-_Shape = tuple[float, ...] | SideLengths
+# or the 3 side lengths a <= b <= c of a valid triple
+_Shape = tuple[float, ...]
 
 
 def _coords(token: str) -> list[float]:
@@ -134,10 +148,13 @@ def _shape(tag: str, numbers: list[float], degrees: bool) -> _Shape:
     if len(numbers) != 3:
         raise ValueError(f"record {tag!r} takes 3 numbers, got {len(numbers)}")
     if tag == "sides":
-        return SideLengths.of(*numbers)
+        a, b, c = sorted(numbers)
+        _check_sides(a, b, c)
+        return a, b, c
     if degrees:
         numbers = [math.radians(v) for v in numbers]
-    return sides_from_angles(AngleTriple(*numbers))
+    s = sides_from_angles(AngleTriple(*numbers))
+    return s.a, s.b, s.c
 
 
 def _shape_from_args(args, prefix: str = "") -> _Shape:
@@ -151,7 +168,7 @@ def _shape_from_args(args, prefix: str = "") -> _Shape:
 
 
 def _arity(shape: _Shape) -> int:
-    return 3 if isinstance(shape, SideLengths) else len(shape) // 2
+    return 3 if len(shape) == 3 else len(shape) // 2
 
 
 def _triangle_parts(
@@ -160,13 +177,12 @@ def _triangle_parts(
     """The side pass (None for side lengths), the lengths a <= b <= c and the c point.
 
     A point triangle gets all three from one side pass, which the record
-    reuses for the a and b forms.  Its lengths stay plain floats: a side
-    pass yields finite, nonnegative lengths, so a SideLengths built from
-    them would only repeat checks that cannot fail.
+    reuses for the a and b forms.  The lengths are plain floats on both
+    routes: a side triple was checked by _check_sides when it was parsed,
+    and a side pass yields finite, nonnegative lengths.
     """
-    if isinstance(shape, SideLengths):
-        a, b, c = shape.a, shape.b, shape.c
-        return None, (a, b, c), _point_from_sides(2, a, b, c)
+    if len(shape) == 3:
+        return None, shape, _point_from_sides(2, *shape)
     if len(shape) != 6:
         raise ArityMismatch(f"expected a triangle, got {len(shape) // 2} points")
     x0, y0, x1, y1, x2, y2 = shape
@@ -207,7 +223,7 @@ def _triangle_record(
     if rank is None:
         if ang is DEGENERATE:
             raise DegenerateAngles(f"sides {(a, b, c)!r} describe a degenerate triangle")
-        ref = circle_normal_form(ang)
+        ref = circle_normal_form(AngleTriple(*ang))
         record = {
             "command": command,
             "form_kind": name,
@@ -234,7 +250,7 @@ def _triangle_record(
     record["angle_class"] = cls.angle_class._value_
     record["side_class"] = cls.side_class._value_
     if ang is not DEGENERATE:
-        record["angles"] = _angles_out(ang.as_tuple(), degrees)
+        record["angles"] = _angles_out(ang, degrees)
     record["side_ratios"] = (a / c, b / c, 1.0)
     if ang is DEGENERATE:
         record["degenerate"] = True

@@ -112,25 +112,33 @@ def angles_from_normal_point(
     """
     if not in_domain(kind, p, tol):
         raise OutOfDomain(f"{p} is outside the region of the {kind.value!r} form")
-    return _point_angles(p.x, p.y, tol.eps)
+    angles = _point_angles(p.x, p.y, tol.eps)
+    return angles if angles is DEGENERATE else AngleTriple(*angles)
 
 
-def _point_angles(x: float, y: float, eps: float) -> AngleTriple | _DegenerateMarker:
-    """angles_from_normal_point of the point (x, y), without the region check.
+def _point_angles(x: float, y: float, eps: float) -> tuple[float, float, float] | _DegenerateMarker:
+    """angles_from_normal_point of (x, y) as a sorted float triple, without the region check.
 
     For normal points computed by this package: rounding can leave them a
     few ulps outside their region, which an eps below 1e-16 detects.  The
-    angles at both anchors and at (x, y), sorted by AngleTriple, are the
-    same for every form.  The angle at (x, y) comes from the cross product
-    |y| and the dot product x(x - 1) + y^2 of the rays to the anchors, not
-    as the complement to pi, which cancels when that angle is tiny.
+    angles at both anchors and at (x, y) are the same for every form; in the
+    longest-side region off the x-axis they pass AngleTriple's checks, so
+    batch records build none.  The angle at (x, y) comes from the cross
+    product |y| and the dot product x(x - 1) + y^2 of the rays to the
+    anchors, not as the complement to pi, which cancels when it is tiny.
     """
     if abs(y) <= eps:
         return DEGENERATE
-    at_origin = math.atan2(y, x)
-    at_unit = math.atan2(y, 1.0 - x)
-    at_p = math.atan2(abs(y), x * (x - 1.0) + y * y)
-    return AngleTriple(at_origin, at_unit, at_p)
+    a = math.atan2(y, x)
+    b = math.atan2(y, 1.0 - x)
+    c = math.atan2(abs(y), x * (x - 1.0) + y * y)
+    if a > b:
+        a, b = b, a
+    if b > c:
+        b, c = c, b
+        if a > b:
+            a, b = b, a
+    return a, b, c
 
 
 def angles_from_sides(s: SideLengths, tol: Tolerance = DEFAULT_TOL) -> AngleTriple:
@@ -143,4 +151,4 @@ def angles_from_sides(s: SideLengths, tol: Tolerance = DEFAULT_TOL) -> AngleTrip
     angles = _point_angles(*_point_from_sides(2, s.a, s.b, s.c), tol.eps)
     if angles is DEGENERATE:
         raise DegenerateAngles(f"sides {(s.a, s.b, s.c)!r} describe a degenerate triangle")
-    return angles
+    return AngleTriple(*angles)

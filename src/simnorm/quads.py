@@ -172,7 +172,8 @@ def _quad_form(
     limit = d_max * (1.0 - e)
     low = 0.5 - e
 
-    best: tuple[float, ...] | None = None
+    # the incumbent key, which the first candidate beats
+    b0, b1, b2, b3, b4, b5, b6, b7 = -math.inf, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0
     for (i, j, k, m), dist in zip(_PAIR_SPLITS, dists):
         if dist < limit:
             continue
@@ -216,21 +217,21 @@ def _quad_form(
                 aty = abs(ty)
                 for cy, dy in flips:
                     for cx, dx in mirrors:
-                        # reflect-normalized images first, raw coordinates last
-                        key = (0.5 + abs(cx - 0.5), ay, 0.5 + abs(dx - 0.5), aty, cx, cy, dx, dy)
-                        if best is None:
-                            best = key
-                            continue
-                        for a, b in zip(key, best):
-                            if a > b + e:
-                                best = key
-                                break
-                            if a < b - e:
-                                break
-                        else:
-                            if key > best:
-                                best = key
-    return best[4:]
+                        # key rows, images first: beyond eps a row decides, within eps the next
+                        k0 = 0.5 + abs(cx - 0.5)
+                        k2 = 0.5 + abs(dx - 0.5)
+                        if k0 > b0 + e or k0 >= b0 - e and (
+                            ay > b1 + e or ay >= b1 - e and (
+                            k2 > b2 + e or k2 >= b2 - e and (
+                            aty > b3 + e or aty >= b3 - e and (
+                            cx > b4 + e or cx >= b4 - e and (
+                            cy > b5 + e or cy >= b5 - e and (
+                            dx > b6 + e or dx >= b6 - e and (
+                            dy > b7 + e or dy >= b7 - e and (
+                            (k0, ay, k2, aty, cx, cy, dx, dy) > (b0, b1, b2, b3, b4, b5, b6, b7)
+                        )))))))):
+                            b0, b1, b2, b3, b4, b5, b6, b7 = k0, ay, k2, aty, cx, cy, dx, dy
+    return b4, b5, b6, b7
 
 
 def quads_similar(q1: Quadrilateral, q2: Quadrilateral, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -269,11 +270,6 @@ def _quads_similar(
     b = (z[m] - z[i]) / den
     ax, ay, bx, by = a.real, a.imag, b.real, b.imag
     rx, sx = 1.0 - ax, 1.0 - bx
-    # the anchor-fixing images of (a, b), each in both orders, as (ux, uy, vx, vy)
-    images = (
-        (ax, ay, bx, by), (ax, -ay, bx, -by), (rx, ay, sx, by), (rx, -ay, sx, -by),
-        (bx, by, ax, ay), (bx, -by, ax, -ay), (sx, by, rx, ay), (sx, -by, rx, -ay),
-    )
 
     dists, d_max, z = _frame(s0, t0, s1, t1, s2, t2, s3, t3)
     limit = d_max * (1.0 - 4.0 * e)
@@ -284,9 +280,14 @@ def _quads_similar(
         u = (z[k] - z[i]) / den
         v = (z[m] - z[i]) / den
         ux, uy, vx, vy = u.real, u.imag, v.real, v.imag
-        for px, py, qx, qy in images:
-            if abs(ux - px) <= e and abs(uy - py) <= e and abs(vx - qx) <= e and abs(vy - qy) <= e:
-                return True
+        # an image of (a, b) in either order: x kept or mirrored, y kept or negated
+        if (
+            (abs(ux - ax) <= e and abs(vx - bx) <= e or abs(ux - rx) <= e and abs(vx - sx) <= e)
+            and (abs(uy - ay) <= e and abs(vy - by) <= e or abs(uy + ay) <= e and abs(vy + by) <= e)
+            or (abs(ux - bx) <= e and abs(vx - ax) <= e or abs(ux - sx) <= e and abs(vx - rx) <= e)
+            and (abs(uy - by) <= e and abs(vy - ay) <= e or abs(uy + by) <= e and abs(vy + ay) <= e)
+        ):
+            return True
     return False
 
 

@@ -93,6 +93,21 @@ class Triangle(_Value):
         return cls((p, q, r))
 
 
+def _check_sides(a: float, b: float, c: float) -> None:
+    """Raise InvalidSides unless a <= b <= c are the finite sides of a triangle."""
+    for v in (a, b, c):
+        if not math.isfinite(v):
+            raise InvalidSides(f"side lengths must be finite, got {v!r}")
+    if a < 0.0:
+        raise InvalidSides(f"side lengths must be nonnegative, got {a!r}")
+    if not (a <= b <= c):
+        raise InvalidSides(f"sides must be sorted ascending: {(a, b, c)!r}")
+    if c <= 0.0:
+        raise InvalidSides("longest side must be positive")
+    if a + b < c - _SIDE_SLACK * c:
+        raise InvalidSides(f"triangle inequality fails: {(a, b, c)!r}")
+
+
 class SideLengths(_Value):
     """Sorted side lengths a <= b <= c of a (possibly degenerate) triangle."""
 
@@ -102,17 +117,7 @@ class SideLengths(_Value):
     c: float
 
     def __init__(self, a: float, b: float, c: float) -> None:
-        for v in (a, b, c):
-            if not math.isfinite(v):
-                raise InvalidSides(f"side lengths must be finite, got {v!r}")
-        if a < 0.0:
-            raise InvalidSides(f"side lengths must be nonnegative, got {a!r}")
-        if not (a <= b <= c):
-            raise InvalidSides(f"sides must be sorted ascending: {(a, b, c)!r}")
-        if c <= 0.0:
-            raise InvalidSides("longest side must be positive")
-        if a + b < c - _SIDE_SLACK * c:
-            raise InvalidSides(f"triangle inequality fails: {(a, b, c)!r}")
+        _check_sides(a, b, c)
         _set(self, "a", a)
         _set(self, "b", b)
         _set(self, "c", c)

@@ -21,6 +21,7 @@ from simnorm import (
     reflect_normalize,
     similarity_from_segment,
 )
+from simnorm import quads
 from simnorm.errors import DegenerateSegment, UnboundedType
 from simnorm.geometry import _HUGE, _TINY, _rescaled
 from simnorm.triangles import TriangleClass, _classify
@@ -237,6 +238,15 @@ def pointwise_normalize_quad(q: Quadrilateral, tol: Tolerance = DEFAULT_TOL) -> 
     return QuadNormalForm(best[0], best[1])
 
 
+def _unit_diameter(q: Quadrilateral) -> tuple[tuple[Point, ...], float]:
+    """q's vertices times the power of two that brings its diameter into [1/2, 1), and that diameter."""
+    v = q.vertices
+    d_max = max(distance(p, r) for p, r in itertools.combinations(v, 2))
+    xs, ys = _rescaled([p.x for p in v], [p.y for p in v], d_max)
+    verts = tuple(map(Point, xs, ys))
+    return verts, max(distance(p, r) for p, r in itertools.combinations(verts, 2))
+
+
 def quads_similar_bruteforce(
     q1: Quadrilateral, q2: Quadrilateral, tol: Tolerance = DEFAULT_TOL
 ) -> bool:
@@ -245,13 +255,15 @@ def quads_similar_bruteforce(
     Tries every ordering of both vertex tuples against each other and both
     orientation classes, fitting the similarity on the first corresponded
     pair that is distinct on both sides and then checking that all four
-    vertices land where they should.  Slow but free of any canonicalization
-    logic, so it can referee the normal-form based test.
+    vertices land within eps times q2's diameter of where they should.
+    Both quads are first brought to unit diameter by an exact power of two,
+    so the verdict is the same at every scale.  Slow but free of any
+    canonicalization logic, so it can referee the normal-form based test.
     """
-    verts2 = q2.vertices
-    diam2 = max(distance(p, q) for p, q in itertools.combinations(verts2, 2))
-    limit = tol.eps * max(1.0, diam2)
-    for order1 in itertools.permutations(q1.vertices):
+    verts1, _ = _unit_diameter(q1)
+    verts2, diam2 = _unit_diameter(q2)
+    limit = tol.eps * diam2
+    for order1 in itertools.permutations(verts1):
         for order2 in itertools.permutations(verts2):
             fit_pair = None
             for i, j in itertools.combinations(range(4), 2):
@@ -275,6 +287,42 @@ def quads_similar_bruteforce(
                     distance(g.apply(p), q) <= limit for p, q in zip(order1, order2)
                 ):
                     return True
+    return False
+
+
+def quads_similar_eight_images(
+    q1: Quadrilateral, q2: Quadrilateral, tol: Tolerance = DEFAULT_TOL
+) -> bool:
+    """quads_similar trying the eight anchor-fixing images of (a, b) one at a time.
+
+    It makes the same float comparisons as quads._quads_similar, image by
+    image instead of as an x choice and a y choice, so the two must agree
+    on every pair.
+    """
+    e = tol.eps
+    dists, d_max, z = quads._frame(*(c for p in q1.vertices for c in (p.x, p.y)))
+    i, j, k, m = quads._PAIR_SPLITS[dists.index(d_max)]
+    den = z[j] - z[i]
+    a = (z[k] - z[i]) / den
+    b = (z[m] - z[i]) / den
+    ax, ay, bx, by = a.real, a.imag, b.real, b.imag
+    rx, sx = 1.0 - ax, 1.0 - bx
+    images = (
+        (ax, ay, bx, by), (ax, -ay, bx, -by), (rx, ay, sx, by), (rx, -ay, sx, -by),
+        (bx, by, ax, ay), (bx, -by, ax, -ay), (sx, by, rx, ay), (sx, -by, rx, -ay),
+    )
+    dists, d_max, z = quads._frame(*(c for p in q2.vertices for c in (p.x, p.y)))
+    limit = d_max * (1.0 - 4.0 * e)
+    for (i, j, k, m), dist in zip(quads._PAIR_SPLITS, dists):
+        if dist < limit:
+            continue
+        den = z[j] - z[i]
+        u = (z[k] - z[i]) / den
+        v = (z[m] - z[i]) / den
+        ux, uy, vx, vy = u.real, u.imag, v.real, v.imag
+        for px, py, qx, qy in images:
+            if abs(ux - px) <= e and abs(uy - py) <= e and abs(vx - qx) <= e and abs(vy - qy) <= e:
+                return True
     return False
 
 

@@ -20,6 +20,7 @@ from simnorm import (
     Point,
     Quadrilateral,
     SideLengths,
+    Tolerance,
     Triangle,
     c_normal_point,
     distance,
@@ -31,7 +32,7 @@ from simnorm import (
     normalize_quad,
     sides_from_angles,
 )
-from simnorm.cli import _emit, main
+from simnorm.cli import _build_parser, _emit, main
 
 
 def run(capsys, *argv):
@@ -184,10 +185,13 @@ def test_point_triangle_record_builds_no_side_lengths(capsys, monkeypatch):
     for kind in ("a", "b", "c", "circle"):
         run_json(capsys, "normalize", "--points", "0,0", "3,0", "0,4", "--kind", kind)
     run_json(capsys, "normalize", "--points", "0,0", "1,0", "2,0")
+    # a sides line stays a float triple too
+    for kind in ("a", "b", "c", "circle"):
+        run_json(capsys, "normalize", "--sides", "3", "4", "5", "--kind", kind)
     assert made == []
-    # the count sees the SideLengths a sides line is parsed into
-    run_json(capsys, "normalize", "--sides", "3", "4", "5")
-    assert made == [(3.0, 4.0, 5.0)]
+    # the count sees the SideLengths the law of sines builds for an angles line
+    run_json(capsys, "normalize", "--angles", "60", "60", "60", "--degrees")
+    assert made == [(1.0, 1.0, 1.0)]
 
 
 def test_degrees_flag_converts_both_ways(capsys):
@@ -675,6 +679,59 @@ def test_emit_writes_a_long_record_on_its_own(monkeypatch):
         assert len(recorder.writes) == 3
         assert "x" * 5000 in recorder.writes[1]
         assert len(recorder.writes[0]) < 100 and len(recorder.writes[2]) < 100
+
+
+def _assert_each_line_encodes_its_record_alone(capsys, *argv):
+    args = _build_parser().parse_args(list(argv))
+    records = args.func(args, Tolerance(args.eps))
+    code, out, err = run(capsys, *argv, "--format", "structured")
+    assert code == 0, err
+    assert out.split("\n") == [json.dumps(rec, sort_keys=True) for rec in records] + [""]
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 129])
+def test_grouped_emit_prints_each_record_as_it_encodes_alone(tmp_path, capsys, n):
+    # the records are encoded in groups; group edges must not show
+    batch = tmp_path / "batch.txt"
+    batch.write_text(_mixed_batch(random.Random(1900 + n), n), encoding="utf-8")
+    _assert_each_line_encodes_its_record_alone(capsys, "normalize", "--batch", str(batch))
+
+
+def test_grouped_emit_keeps_nested_and_degenerate_records_whole(tmp_path, capsys):
+    rng = random.Random(1901)
+    circle = tmp_path / "circle.txt"
+    circle.write_text(
+        "".join(
+            "points " + " ".join(f"{p.x!r} {p.y!r}" for p in rand_triangle(rng).vertices) + "\n"
+            for _ in range(70)
+        ),
+        encoding="utf-8",
+    )
+    argv = ("normalize", "--batch", str(circle), "--kind", "circle")
+    _assert_each_line_encodes_its_record_alone(capsys, *argv)
+    flat = tmp_path / "flat.txt"
+    flat.write_text("points 0 0 1 0 2 0\nsides 3 4 5\n" * 40, encoding="utf-8")
+    _assert_each_line_encodes_its_record_alone(capsys, "normalize", "--batch", str(flat))
+
+
+def test_grouped_emit_keeps_a_record_whole_when_a_string_holds_the_separator(
+    tmp_path, capsys, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(
+        capsys, "domains", "--kind", "c", "--out", "x}, {y.svg", "--format", "structured"
+    )
+    assert code == 0, err
+    (line,) = out.splitlines()
+    assert json.loads(line)["outputs"] == ["x}, {y.svg"]
+    records = [{"command": "domains", "outputs": (f"{i}}}, {{.svg",)} for i in range(70)]
+    recorder = _Recorder()
+    monkeypatch.setattr(sys, "stdout", recorder)
+    _emit(records, "structured")
+    monkeypatch.undo()
+    assert "".join(recorder.writes).split("\n") == [
+        json.dumps(rec, sort_keys=True) for rec in records
+    ] + [""]
 
 
 # file outputs

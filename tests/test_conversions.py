@@ -27,7 +27,7 @@ from simnorm import (
     sides_from_angles,
     triangle_from_sides,
 )
-from simnorm.conversions import _radicand
+from simnorm.conversions import _point_angles, _radicand
 
 ONE_POINT_KINDS = (FormKind.C_VERTEX, FormKind.B_VERTEX, FormKind.A_VERTEX)
 
@@ -238,6 +238,21 @@ def test_angle_roundtrip_all_kinds():
             assert back is not DEGENERATE
             for want, have in zip(ang.as_tuple(), back.as_tuple()):
                 assert abs(want - have) <= 1e-9
+
+
+def test_point_angles_come_sorted_in_every_region():
+    # the batch records keep this float triple, with no AngleTriple to sort it
+    rng = random.Random(503)
+    for i in range(400):
+        vals = near_boundary_angles(rng) if i % 2 == 0 else rand_angles(rng)
+        for kind in ONE_POINT_KINDS:
+            p = normal_point_from_angles(kind, AngleTriple(*vals))
+            got = _point_angles(p.x, p.y, 1e-9)
+            assert got == angles_from_normal_point(kind, p).as_tuple(), (kind, p)
+    # within eps left of x = 1/2, the angle at the origin passes the one at (1, 0)
+    for p in (Point(0.5 - 1e-10, 0.6), Point(0.5 - 5e-10, 0.8)):
+        want = angles_from_normal_point(FormKind.C_VERTEX, p).as_tuple()
+        assert _point_angles(p.x, p.y, 1e-9) == want, p
 
 
 def test_side_ratio_roundtrip_all_kinds():

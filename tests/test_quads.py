@@ -19,6 +19,7 @@ from oracles import (
     forms_close_verdict,
     pointwise_normalize_quad,
     quads_similar_bruteforce,
+    quads_similar_eight_images,
 )
 from simnorm import (
     ANCHOR_A,
@@ -222,6 +223,21 @@ def test_axis_folds_match_the_pointwise_oracle(eps):
             assert repr(normalize_quad(q, tol)) == repr(pointwise_normalize_quad(q, tol)), q
 
 
+@pytest.mark.parametrize("eps", [1e-18, 1e-12, 9e-4])
+def test_forms_match_the_pointwise_oracle_at_the_extreme_eps(eps):
+    # the smallest and largest eps decide the ties of the candidate search
+    # differently from the default; the comparison must not drift at either
+    tol = Tolerance(eps)
+    for q in _oracle_quads():
+        assert repr(normalize_quad(q, tol)) == repr(pointwise_normalize_quad(q, tol)), q
+    rng = random.Random(619)
+    for coords in _axis_quads(eps):
+        move = _dyadic_similarity(rng)
+        for perm in itertools.permutations(move(x, y) for x, y in coords):
+            q = quad(*perm)
+            assert repr(normalize_quad(q, tol)) == repr(pointwise_normalize_quad(q, tol)), q
+
+
 def test_normalize_quad_builds_only_the_result_points(monkeypatch):
     made = []
 
@@ -342,6 +358,61 @@ def test_threshold_copies_are_similar_and_unrelated_ones_are_not(make):
         q2 = _copy(rng, make(rng, eps))
         assert not quads_similar_bruteforce(q1, q2, TOL)
         assert not quads_similar(q1, q2, TOL), (q1, q2)
+
+
+def _nudged(rng, q, off):
+    """q with one vertex moved by off times its diameter along an axis."""
+    diam = max(distance(p, r) for p, r in itertools.combinations(q.vertices, 2))
+    verts = list(q.vertices)
+    n = rng.randrange(4)
+    step = rng.choice((-1.0, 1.0)) * off * diam
+    p = verts[n]
+    verts[n] = Point(p.x + step, p.y) if rng.random() < 0.5 else Point(p.x, p.y + step)
+    return Quadrilateral.of(*verts)
+
+
+@pytest.mark.parametrize("eps", [1e-12, 1e-9, 1e-4])
+def test_quads_similar_matches_the_eight_image_loop(eps):
+    tol = Tolerance(eps)
+    rng = random.Random(618)
+    verdicts = set()
+    for _ in range(150):
+        q = rand_quad(rng, special_fraction=0.5)
+        image = _copy(rng, q)
+        pairs = [(q, image), (rand_quad(rng), rand_quad(rng))]
+        pairs += [(q, _nudged(rng, image, off)) for off in (0.0, 0.5 * eps, eps, 2.0 * eps)]
+        for q1, q2 in pairs:
+            verdict = quads_similar(q1, q2, tol)
+            assert verdict is quads_similar_eight_images(q1, q2, tol), (q1, q2)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_bruteforce_oracle_accepts_copies_at_every_scale():
+    rng = random.Random(620)
+    for _ in range(5):
+        q = rand_quad(rng, special_fraction=0.3)
+        for scale in (1e-300, 1e-250, 1e250, 1e300):
+            g = SimilarityTransform(
+                scale=scale,
+                rotation=rng.uniform(-math.pi, math.pi),
+                reflect=rng.random() < 0.5,
+                translation=Point(scale * rng.uniform(-2.0, 2.0), scale * rng.uniform(-2.0, 2.0)),
+            )
+            image = permuted_quad(rng, apply_to_quad(g, q))
+            assert quads_similar_bruteforce(q, image, TOL), (q, image)
+            assert quads_similar_bruteforce(image, q, TOL), (q, image)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_bruteforce_oracle_rejects_a_moved_point_at_every_scale(scale):
+    # the third point moves by 10 eps of the diameter, at every scale
+    base = ((0.0, 0.0), (1.0, 0.0), (0.7, 0.4), (0.2, -0.3))
+    moved = ((0.0, 0.0), (1.0, 0.0), (0.7, 0.4 + 1e-8), (0.2, -0.3))
+    q1 = quad(*((scale * x, scale * y) for x, y in base))
+    q2 = quad(*((scale * x, scale * y) for x, y in moved))
+    assert not quads_similar_bruteforce(q1, q2, TOL)
+    assert not quads_similar(q1, q2, TOL)
 
 
 def _base_pairs(rng):
