@@ -83,15 +83,22 @@ class Point(_Value):
     y: float
 
     def __init__(self, x: float, y: float) -> None:
-        if not (math.isfinite(x) and math.isfinite(y)):
+        if not (_isfinite(x) and _isfinite(y)):
             raise ValueError(f"point coordinates must be finite, got ({x!r}, {y!r})")
-        _set(self, "x", x)
-        _set(self, "y", y)
+        _set_x(self, x)
+        _set_y(self, y)
 
     def close_to(self, other: Point, tol: Tolerance = DEFAULT_TOL) -> bool:
         """Coordinatewise agreement within tol.eps."""
         return abs(self.x - other.x) <= tol.eps and abs(self.y - other.y) <= tol.eps
 
+
+# Point.__init__ runs for every point made, so it calls these straight: a
+# slot's setter stores into the slot, where _set first looks the field name
+# up on the class, and _isfinite skips the attribute lookup on math
+_set_x = Point.x.__set__
+_set_y = Point.y.__set__
+_isfinite = math.isfinite
 
 ORIGIN = Point(0.0, 0.0)
 UNIT_X = Point(1.0, 0.0)

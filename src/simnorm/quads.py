@@ -70,14 +70,18 @@ class QuadNormalForm(_Value):
     d: Point
 
     def __init__(self, c: Point, d: Point) -> None:
-        _set(self, "c", c)
-        _set(self, "d", d)
+        _set_c(self, c)
+        _set_d(self, d)
 
     def points(self) -> tuple[Point, Point, Point, Point]:
         return (ANCHOR_A, ANCHOR_B, self.c, self.d)
 
     def close_to(self, other: QuadNormalForm, tol: Tolerance = DEFAULT_TOL) -> bool:
         return self.c.close_to(other.c, tol) and self.d.close_to(other.d, tol)
+
+
+_set_c = QuadNormalForm.c.__set__
+_set_d = QuadNormalForm.d.__set__
 
 
 def in_d_region(p: Point, c: Point, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -107,32 +111,34 @@ def _in_d_region(x: float, y: float, cx: float, cy: float, e: float) -> bool:
     return True
 
 
-def _pair_distances(
-    x0: float, y0: float, x1: float, y1: float, x2: float, y2: float, x3: float, y3: float
-) -> tuple[float, float, float, float, float, float]:
-    """The six pairwise distances, in _PAIR_SPLITS order."""
-    hypot = math.hypot
-    return (
-        hypot(x1 - x0, y1 - y0), hypot(x2 - x0, y2 - y0), hypot(x3 - x0, y3 - y0),
-        hypot(x2 - x1, y2 - y1), hypot(x3 - x1, y3 - y1), hypot(x3 - x2, y3 - y2),
-    )
-
-
 def _frame(
     x0: float, y0: float, x1: float, y1: float, x2: float, y2: float, x3: float, y3: float
 ) -> tuple[tuple[float, ...], float, tuple[complex, complex, complex, complex]]:
     """The six pair distances, their maximum and the vertices as complex numbers.
 
-    When the largest distance lies outside [_TINY, _HUGE], all three come
-    from the copy rescaled by one exact power of two.
+    The distances come in _PAIR_SPLITS order.  When the largest lies outside
+    [_TINY, _HUGE], all three come from the copy rescaled by one exact power
+    of two.
     """
-    dists = _pair_distances(x0, y0, x1, y1, x2, y2, x3, y3)
-    d_max = max(dists)
-    if not _TINY <= d_max <= _HUGE:
+    hypot = math.hypot
+    rescaled = False
+    while True:
+        d01 = hypot(x1 - x0, y1 - y0)
+        d02 = hypot(x2 - x0, y2 - y0)
+        d03 = hypot(x3 - x0, y3 - y0)
+        d12 = hypot(x2 - x1, y2 - y1)
+        d13 = hypot(x3 - x1, y3 - y1)
+        d23 = hypot(x3 - x2, y3 - y2)
+        d_max = max(d01, d02, d03, d12, d13, d23)
+        if _TINY <= d_max <= _HUGE or rescaled:
+            return (
+                (d01, d02, d03, d12, d13, d23),
+                d_max,
+                (complex(x0, y0), complex(x1, y1), complex(x2, y2), complex(x3, y3)),
+            )
+        # at most one rescale: a capped one can leave the copy outside the band
+        rescaled = True
         (x0, x1, x2, x3), (y0, y1, y2, y3) = _rescaled([x0, x1, x2, x3], [y0, y1, y2, y3], d_max)
-        dists = _pair_distances(x0, y0, x1, y1, x2, y2, x3, y3)
-        d_max = max(dists)
-    return dists, d_max, (complex(x0, y0), complex(x1, y1), complex(x2, y2), complex(x3, y3))
 
 
 def normalize_quad(q: Quadrilateral, tol: Tolerance = DEFAULT_TOL) -> QuadNormalForm:

@@ -275,7 +275,8 @@ def c_normal_point(t: Triangle) -> Point:
     in the lens {y >= 0, x >= 1/2, x^2 + y^2 <= 1}.
     """
     p0, p1, p2 = t.vertices
-    return Point(*_place(_side_pass(p0.x, p0.y, p1.x, p1.y, p2.x, p2.y), 2, DEFAULT_TOL))
+    x, y = _place(_side_pass(p0.x, p0.y, p1.x, p1.y, p2.x, p2.y), 2, DEFAULT_TOL)
+    return Point(x, y)
 
 
 def b_normal_point(t: Triangle) -> Point:
@@ -286,7 +287,8 @@ def b_normal_point(t: Triangle) -> Point:
     in {y >= 0, x >= 1/2, x^2 + y^2 >= 1, (x-1)^2 + y^2 <= 1}.
     """
     p0, p1, p2 = t.vertices
-    return Point(*_place(_side_pass(p0.x, p0.y, p1.x, p1.y, p2.x, p2.y), 1, DEFAULT_TOL))
+    x, y = _place(_side_pass(p0.x, p0.y, p1.x, p1.y, p2.x, p2.y), 1, DEFAULT_TOL)
+    return Point(x, y)
 
 
 def a_normal_point(t: Triangle, tol: Tolerance = DEFAULT_TOL) -> Point:
@@ -298,13 +300,15 @@ def a_normal_point(t: Triangle, tol: Tolerance = DEFAULT_TOL) -> Point:
     within tol.eps of zero, relative to the longest) raise UnboundedType.
     """
     p0, p1, p2 = t.vertices
-    return Point(*_place(_side_pass(p0.x, p0.y, p1.x, p1.y, p2.x, p2.y), 0, tol))
+    x, y = _place(_side_pass(p0.x, p0.y, p1.x, p1.y, p2.x, p2.y), 0, tol)
+    return Point(x, y)
 
 
 def normal_point(kind: FormKind, t: Triangle, tol: Tolerance = DEFAULT_TOL) -> Point:
     """The one-vertex normal point for the given kind."""
     p0, p1, p2 = t.vertices
-    return Point(*_place(_side_pass(p0.x, p0.y, p1.x, p1.y, p2.x, p2.y), _rank(kind), tol))
+    x, y = _place(_side_pass(p0.x, p0.y, p1.x, p1.y, p2.x, p2.y), _rank(kind), tol)
+    return Point(x, y)
 
 
 def _in_a_region(x: float, y: float, e: float) -> bool:
@@ -433,7 +437,9 @@ def classify(t: Triangle, tol: Tolerance = DEFAULT_TOL) -> TriangleClass:
     """
     p0, p1, p2 = t.vertices
     sides = _side_pass(p0.x, p0.y, p1.x, p1.y, p2.x, p2.y)
-    return _classify(*_place(sides, 2, tol), *_lengths(sides), tol)
+    x, y = _place(sides, 2, tol)
+    a, b, c = _lengths(sides)
+    return _classify(x, y, a, b, c, tol)
 
 
 def triangles_similar(t1: Triangle, t2: Triangle, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -1,5 +1,6 @@
 """Command-line interface: formats, exit codes, batch mode, file outputs."""
 
+import gc
 import json
 import math
 import os
@@ -523,6 +524,32 @@ def test_batch_missing_file_exit_code(capsys):
     assert code == 4
 
 
+def test_main_restores_the_collector_state(capsys):
+    runs = (
+        (("normalize", "--sides", "3", "4", "5"), 0),
+        (("normalize", "--sides", "1", "1", "9"), 2),
+        (("normalize", "--no-such-flag"), 2),
+        (("normalize", "--sides", "0", "2", "2", "--kind", "a"), 3),
+        (("normalize", "--batch", "/nonexistent/batch.txt"), 4),
+    )
+    was_enabled = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            if enabled:
+                gc.enable()
+            else:
+                gc.disable()
+            for argv, expected in runs:
+                code, _, _ = run(capsys, *argv)
+                assert code == expected, argv
+                assert gc.isenabled() is enabled, argv
+    finally:
+        if was_enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+
 def _mixed_batch(rng, n):
     """n batch lines: side lengths, angles, triangles (some collinear or with a repeated vertex) and quads."""
     lines = []
@@ -540,6 +567,29 @@ def _mixed_batch(rng, n):
             q = rand_quad(rng, special_fraction=0.1)
             lines.append("points " + " ".join(f"{p.x!r} {p.y!r}" for p in q.vertices))
     return "\n".join(lines) + "\n"
+
+
+def test_a_batch_makes_no_reference_cycles(tmp_path, capsys):
+    # main pauses the collector on this premise: the garbage a batch leaves
+    # in cycles does not grow with its length
+    one = tmp_path / "one.txt"
+    one.write_text("sides 3 4 5\n", encoding="utf-8")
+    many = tmp_path / "many.txt"
+    many.write_text(_mixed_batch(random.Random(1412), 2000), encoding="utf-8")
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        counts = []
+        for path in (one, many):
+            for fmt in ("text", "structured"):
+                gc.collect()
+                code, _, err = run(capsys, "normalize", "--batch", str(path), "--format", fmt)
+                assert code == 0, err
+                counts.append(gc.collect())
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert counts == [counts[0]] * 4, counts
 
 
 def _library_fields(line, kind):

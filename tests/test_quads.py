@@ -37,7 +37,7 @@ from simnorm import (
     quads_similar,
     reflection_orbit_type_count,
 )
-from simnorm import SimilarityTransform, quads
+from simnorm import SimilarityTransform, cli, quads
 
 TOL = Tolerance(1e-9)
 
@@ -149,6 +149,22 @@ def test_tiny_spread_at_huge_offset_keeps_its_form():
     form = normalize_quad(q)
     assert (form.c.x, form.c.y) == (0.75, 0.0)
     assert (form.d.x, form.d.y) == (0.4999999999999999, 0.0)
+
+
+def test_capped_rescale_quad_is_rescaled_once(capsys):
+    # the rescale is capped by the coordinates, so the copy's spread stays
+    # subnormal, outside the band: the form comes from that copy as it is
+    coords = ((1e308, 0.0), (1e308, 5e-324), (1e308, 1e-323), (1e308, 1.5e-323))
+    q = quad(*coords)
+    form = normalize_quad(q)
+    assert repr((form.c.x, form.c.y)) == "(0.6666666666666667, 0.0)"
+    assert repr((form.d.x, form.d.y)) == "(0.33333333333333337, 0.0)"
+    assert quads_similar(q, quad(*((y, x) for x, y in coords)))
+    argv = ["quad-normalize", "--points", *(f"{x!r},{y!r}" for x, y in coords)]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert "quad_c: (0.6666666666666667, 0.0)\n" in out
+    assert "quad_d: (0.33333333333333337, 0.0)\n" in out
 
 
 def _oracle_quads():
