@@ -6,6 +6,9 @@ a dict of its set fields, in the order command, form_kind, normal_point,
 circle_vertices, quad_c, quad_d, in_domain, angle_class, side_class,
 angles, side_ratios, degenerate, similar, key_a, key_b, outputs.
 Numbers are serialized with repr so 64-bit values round-trip exactly.
+The four JSON layouts a batch writes are each formatted by one f-string,
+any other by json.  Those f-strings quote command, form_kind, angle_class
+and side_class without escaping, safe as the program makes all four.
 
 Exit codes: 0 success, 2 parse or validation error, 3 domain error
 (unbounded type, degenerate input, out-of-domain point, arity mismatch),
@@ -68,33 +71,66 @@ def _format_value(value) -> str:
 
 # the most a write carries: PIPE_BUF on Linux
 _BLOCK = 4096
-_GROUP = 64  # the records one call of the JSON encoder takes
+
+# the fields of the records a batch writes, in record order: a one-vertex
+# form with angles and without them (degenerate), a quad and a circle form
+_POINT = ("command", "form_kind", "normal_point", "in_domain", "angle_class", "side_class")
+_ANGLES = _POINT + ("angles", "side_ratios")
+_FLAT = _POINT + ("side_ratios", "degenerate")
+_QUAD = ("command", "quad_c", "quad_d", "in_domain")
+_CIRCLE = ("command", "form_kind", "circle_vertices") + _ANGLES[4:]
 
 
-def _json_lines(records: list[dict]):
-    # imported here, so that text output never loads json; records hold no cycle
+def _json_line(rec: dict) -> str:
+    """The record as json.dumps(rec, sort_keys=True) writes it; see _emit."""
+    keys = tuple(rec)
+    if keys == _ANGLES:
+        cmd, kind, (x, y), dom, ac, sc, (a0, a1, a2), (r0, r1, r2) = rec.values()
+        return (
+            f'{{"angle_class": "{ac}", "angles": [{a0!r}, {a1!r}, {a2!r}], "command": "{cmd}", '
+            f'"form_kind": "{kind}", "in_domain": {"true" if dom else "false"}, "normal_point": '
+            f'[{x!r}, {y!r}], "side_class": "{sc}", "side_ratios": [{r0!r}, {r1!r}, {r2!r}]}}'
+        )
+    if keys == _QUAD:
+        cmd, (cx, cy), (dx, dy), dom = rec.values()
+        return (
+            f'{{"command": "{cmd}", "in_domain": {"true" if dom else "false"}, '
+            f'"quad_c": [{cx!r}, {cy!r}], "quad_d": [{dx!r}, {dy!r}]}}'
+        )
+    if keys == _FLAT:
+        cmd, kind, (x, y), dom, ac, sc, (r0, r1, r2), flat = rec.values()
+        return (
+            f'{{"angle_class": "{ac}", "command": "{cmd}", "degenerate": '
+            f'{"true" if flat else "false"}, "form_kind": "{kind}", "in_domain": '
+            f'{"true" if dom else "false"}, "normal_point": [{x!r}, {y!r}], '
+            f'"side_class": "{sc}", "side_ratios": [{r0!r}, {r1!r}, {r2!r}]}}'
+        )
+    if keys == _CIRCLE:
+        cmd, kind, ((x0, y0), (x1, y1), (x2, y2)), ac, sc, (a0, a1, a2), (r0, r1, r2) = rec.values()
+        return (
+            f'{{"angle_class": "{ac}", "angles": [{a0!r}, {a1!r}, {a2!r}], "circle_vertices": '
+            f'[[{x0!r}, {y0!r}], [{x1!r}, {y1!r}], [{x2!r}, {y2!r}]], "command": "{cmd}", '
+            f'"form_kind": "{kind}", "side_class": "{sc}", "side_ratios": [{r0!r}, {r1!r}, {r2!r}]}}'
+        )
+    # imported here, so that text output and batches never load json
     import json
 
-    encode = json.JSONEncoder(sort_keys=True, check_circular=False).encode
-    for i in range(0, len(records), _GROUP):
-        group = records[i : i + _GROUP]
-        text = encode(group)[1:-1]
-        if text.count("}, {") == len(group) - 1:
-            yield from text.replace("}, {", "}\n{").split("\n")
-        else:
-            yield from map(encode, group)
+    return json.dumps(rec, sort_keys=True)
 
 
 def _emit(records: list[dict], fmt: str) -> None:
     """Write the records to stdout, as JSON lines or as blocks of text.
 
-    JSON is encoded _GROUP records per call, cheaper than a call per record,
-    and each "}, {" between two records becomes a line break.  No record
-    value is a dict, so the text occurs elsewhere only in a string (a file
-    name, say): a group with extra ones goes a record at a time, unsplit.
+    Each layout a batch writes (a quad, a one-vertex triangle with or without
+    angles, a circle form) is one f-string with its keys in sorted order, repr
+    floats and true/false: what json writes, for less than its encoder's work
+    per record.  The f-strings put command, form_kind, angle_class and
+    side_class in quotes unescaped: the program makes those (command names,
+    FormKind and class enum values), all plain ASCII words.  Every other
+    layout, such as one that carries a file name, goes through json.
     """
     if fmt == "structured":
-        chunks = _json_lines(records)
+        chunks = map(_json_line, records)
     else:
         # a blank line between records
         chunks = (

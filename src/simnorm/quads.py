@@ -38,9 +38,6 @@ from .geometry import (
     quasilex_eq,
 )
 
-ANCHOR_A = ORIGIN
-ANCHOR_B = UNIT_X
-
 # every vertex pair (i, j) in lexicographic order, with the two remaining
 # indices (k, m) ascending
 _PAIR_SPLITS = ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2), (1, 2, 0, 3), (1, 3, 0, 2), (2, 3, 0, 1))
@@ -74,7 +71,7 @@ class QuadNormalForm(_Value):
         _set_d(self, d)
 
     def points(self) -> tuple[Point, Point, Point, Point]:
-        return (ANCHOR_A, ANCHOR_B, self.c, self.d)
+        return (ORIGIN, UNIT_X, self.c, self.d)
 
     def close_to(self, other: QuadNormalForm, tol: Tolerance = DEFAULT_TOL) -> bool:
         return self.c.close_to(other.c, tol) and self.d.close_to(other.d, tol)
@@ -321,8 +318,6 @@ def reflection_orbit_type_count(c: Point, d: Point, tol: Tolerance = DEFAULT_TOL
 
 
 __all__ = [
-    "ANCHOR_A",
-    "ANCHOR_B",
     "Quadrilateral",
     "QuadNormalForm",
     "in_d_region",

@@ -26,9 +26,9 @@ from helpers import (
 from figchecks import check_figure
 from oracles import _reflection_images, quads_similar_bruteforce
 from simnorm import (
-    ANCHOR_A,
-    ANCHOR_B,
     DEGENERATE,
+    ORIGIN,
+    UNIT_X,
     AngleClass,
     AngleTriple,
     FormKind,
@@ -313,7 +313,7 @@ def test_criterion_10_orbit_count():
             d = rng.choice(_reflection_images(c))
             count = reflection_orbit_type_count(c, d)
             forms = [
-                normalize_quad(Quadrilateral.of(ANCHOR_A, ANCHOR_B, c, image))
+                normalize_quad(Quadrilateral.of(ORIGIN, UNIT_X, c, image))
                 for image in _reflection_images(d)
             ]
             distinct = []

@@ -1,6 +1,7 @@
 """Command-line interface: formats, exit codes, batch mode, file outputs."""
 
 import gc
+import itertools
 import json
 import math
 import os
@@ -33,6 +34,7 @@ from simnorm import (
     normalize_quad,
     sides_from_angles,
 )
+from simnorm import cli
 from simnorm.cli import _build_parser, _emit, main
 
 
@@ -741,7 +743,7 @@ def _assert_each_line_encodes_its_record_alone(capsys, *argv):
 
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 129])
 def test_grouped_emit_prints_each_record_as_it_encodes_alone(tmp_path, capsys, n):
-    # the records are encoded in groups; group edges must not show
+    # each record of a batch, whatever its layout, is its own JSON line
     batch = tmp_path / "batch.txt"
     batch.write_text(_mixed_batch(random.Random(1900 + n), n), encoding="utf-8")
     _assert_each_line_encodes_its_record_alone(capsys, "normalize", "--batch", str(batch))
@@ -782,6 +784,94 @@ def test_grouped_emit_keeps_a_record_whole_when_a_string_holds_the_separator(
     assert "".join(recorder.writes).split("\n") == [
         json.dumps(rec, sort_keys=True) for rec in records
     ] + [""]
+
+
+def _flat_coords(points) -> list[float]:
+    return [v for p in points for v in (p.x, p.y)]
+
+
+def _templated_records() -> list[dict]:
+    """Batch records of every layout _json_line formats, from the CLI's own builders."""
+    rng = random.Random(2101)
+    tol = Tolerance(1e-9)
+    # at the smallest eps, rounding leaves some isosceles normal points outside their region
+    tight = Tolerance(5e-324)
+    records = []
+    for kind in ("a", "b", "c", "circle"):
+        form = cli._form(FormKind(kind))
+        for degrees in (False, True):
+            lines = [] if kind == "circle" else [("points", [0, 0, 1, 0, 2, 0]), ("sides", [1, 2, 3])]
+            for _ in range(10):
+                u, v, w = rand_triangle(rng).vertices
+                lines.append(("points", _flat_coords((u, v, w))))
+                lines.append(("sides", [distance(u, v), distance(u, w), distance(v, w)]))
+                angles = rand_angles(rng)
+                lines.append(("angles", list(map(math.degrees, angles)) if degrees else angles))
+            for tag, numbers in lines:
+                shape = cli._shape(tag, numbers, degrees)
+                records.append(cli._triangle_record("normalize", shape, form, tol, degrees))
+        for _ in range(20):
+            a = rng.uniform(0.5, 2.0)
+            c = rng.uniform(a, 1.999 * a)
+            for sides in ((a, a, c), (a, c, c)):
+                records.append(cli._triangle_record("convert", sides, form, tight, False))
+    for command in ("normalize", "quad-normalize"):
+        for _ in range(20):
+            shape = tuple(_flat_coords(rand_quad(rng, special_fraction=0.3).vertices))
+            records.append(cli._quad_record(command, shape, tol))
+    return records
+
+
+# the floats whose repr differs most in form: signed zero, subnormal, the
+# smallest normal, and each side of repr's switch to and from exponents
+_EDGE_FLOATS = (-0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e-05, 0.0001, 1.7976931348623157e308)
+
+
+def _with_floats(value, floats):
+    """value with each float replaced by the next of floats, and each bool negated."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, float):
+        return next(floats)
+    if isinstance(value, tuple):
+        return tuple(_with_floats(v, floats) for v in value)
+    return value
+
+
+def test_batch_layouts_are_written_as_json_writes_them(tmp_path, monkeypatch):
+    built = _templated_records()
+    assert {tuple(rec) for rec in built} == {cli._ANGLES, cli._FLAT, cli._QUAD, cli._CIRCLE}
+    assert {rec["in_domain"] for rec in built if "in_domain" in rec} == {True, False}
+    assert {rec["form_kind"] for rec in built if "form_kind" in rec} == {"a", "b", "c", "circle"}
+    made = []
+    for rec in {tuple(rec): rec for rec in built}.values():
+        for start in range(len(_EDGE_FLOATS)):
+            floats = itertools.cycle(_EDGE_FLOATS[start:] + _EDGE_FLOATS[:start])
+            made.append({k: _with_floats(v, floats) for k, v in rec.items()})
+    encode = json.dumps
+    calls = []
+    monkeypatch.setattr(json, "dumps", lambda rec, **kw: calls.append(rec) or encode(rec, **kw))
+    for rec in built + made:
+        assert cli._json_line(rec) == encode(rec, sort_keys=True), rec
+    assert calls == []
+    # each other layout, one record per command, goes through json unchanged
+    monkeypatch.chdir(tmp_path)
+    others = []
+    for argv in (
+        "classify --sides 3 4 5",
+        "convert --point 0.64,0.48",
+        "convert --point 0.75,0",
+        "similar --a-sides 3 4 5 --b-sides 6 8 10",
+        "similar --a-points 0,0 1,0 1,1 0,1 --b-points 0,0 2,0 2,2 0,2",
+        "domains --kind c --out c.svg",
+        "plot --sides 3 4 5 --out p.svg",
+    ):
+        args = _build_parser().parse_args(argv.split())
+        others.extend(args.func(args, Tolerance(args.eps)))
+    for rec in others:
+        calls.clear()
+        assert cli._json_line(rec) == encode(rec, sort_keys=True)
+        assert calls == [rec]
 
 
 # file outputs
@@ -985,7 +1075,8 @@ def test_cli_import_leaves_figures_unloaded():
 
 
 def test_cli_import_leaves_json_unloaded():
-    # json is imported on the first structured emit; -S keeps site hooks from loading it
+    # json is imported only for a record outside the batch layouts; -S keeps
+    # site hooks from loading it
     src = os.path.dirname(os.path.dirname(simnorm.__file__))
     proc = subprocess.run(
         [sys.executable, "-S", "-c", "import sys, simnorm.cli; print('json' in sys.modules)"],
@@ -995,6 +1086,50 @@ def test_cli_import_leaves_json_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_structured_batches_leave_json_unloaded(tmp_path):
+    # every batch layout is written by its own f-string: none falls back to json
+    rng = random.Random(2103)
+    triangles = []
+    for _ in range(30):
+        u, v, w = rand_triangle(rng).vertices
+        triangles.append("points " + " ".join(map(repr, _flat_coords((u, v, w)))))
+        triangles.append(f"sides {distance(u, v)!r} {distance(u, w)!r} {distance(v, w)!r}")
+        triangles.append("angles " + " ".join(map(repr, rand_angles(rng))))
+    flat = ["points 0 0 1 0 2 0", "sides 1 2 3"]
+    quads = ["points " + " ".join(map(repr, _flat_coords(rand_quad(rng).vertices))) for _ in range(30)]
+    batches = [
+        # --kind refuses quads, so the batch with quads takes the c form by default
+        ("all", triangles + flat + quads, []),
+        ("flat", triangles + flat, ["--kind", "c"]),
+        ("circle", triangles, ["--kind", "circle"]),
+    ]
+    runs = []
+    for name, lines, kind in batches:
+        path = tmp_path / f"{name}.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        runs.append(["normalize", "--batch", str(path), "--format", "structured", *kind])
+    script = (
+        "import io, sys\n"
+        "from simnorm.cli import main\n"
+        "done = []\n"
+        f"for argv in {runs!r}:\n"
+        "    sys.stdout = io.StringIO()\n"
+        "    code = main(argv)\n"
+        "    done.append((code, sys.stdout.getvalue().count('\\n')))\n"
+        "    sys.stdout = sys.__stdout__\n"
+        "print(done, 'json' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(simnorm.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[(0, 122), (0, 92), (0, 90)] False"
 
 
 def test_closed_stdout_exits_4_without_traceback(tmp_path):

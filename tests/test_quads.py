@@ -22,8 +22,8 @@ from oracles import (
     quads_similar_eight_images,
 )
 from simnorm import (
-    ANCHOR_A,
-    ANCHOR_B,
+    ORIGIN,
+    UNIT_X,
     DegenerateQuad,
     Point,
     PreconditionViolated,
@@ -65,10 +65,10 @@ def test_quadrilateral_allows_triple_point():
 
 
 def test_normal_form_anchors():
-    assert ANCHOR_A == Point(0.0, 0.0)
-    assert ANCHOR_B == Point(1.0, 0.0)
+    assert ORIGIN == Point(0.0, 0.0)
+    assert UNIT_X == Point(1.0, 0.0)
     form = QuadNormalForm(Point(0.5, 0.5), Point(0.5, -0.5))
-    assert form.points()[:2] == (ANCHOR_A, ANCHOR_B)
+    assert form.points()[:2] == (ORIGIN, UNIT_X)
 
 
 # the d region
@@ -546,7 +546,7 @@ def test_orbit_count_matches_enumeration():
         d = rng.choice(_reflection_images(c))
         count = reflection_orbit_type_count(c, d)
         forms = [
-            normalize_quad(Quadrilateral.of(ANCHOR_A, ANCHOR_B, c, image))
+            normalize_quad(Quadrilateral.of(ORIGIN, UNIT_X, c, image))
             for image in _reflection_images(d)
         ]
         distinct = []
