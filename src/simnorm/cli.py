@@ -30,7 +30,6 @@ import os
 import sys
 
 from .conversions import (
-    DEGENERATE,
     _point_angles,
     _point_from_sides,
     angles_from_normal_point,
@@ -263,7 +262,7 @@ def _triangle_record(
     cls = _classify(xc, yc, a, b, c, tol)
     ang = _point_angles(xc, yc, tol.eps)
     if rank is None:
-        if ang is DEGENERATE:
+        if ang is None:
             raise DegenerateAngles(f"sides {(a, b, c)!r} describe a degenerate triangle")
         ref = circle_normal_form(AngleTriple(*ang))
         record = {
@@ -291,10 +290,10 @@ def _triangle_record(
     # descriptor call on every record
     record["angle_class"] = cls.angle_class._value_
     record["side_class"] = cls.side_class._value_
-    if ang is not DEGENERATE:
+    if ang is not None:
         record["angles"] = _angles_out(ang, degrees)
     record["side_ratios"] = (a / c, b / c, 1.0)
-    if ang is DEGENERATE:
+    if ang is None:
         record["degenerate"] = True
     return record
 
@@ -383,8 +382,9 @@ def _cmd_convert(args, tol: Tolerance) -> list[dict]:
             # at p underflows, so meet the limit of the other routes first
             c = max(math.hypot(p.x, p.y), math.hypot(p.x - 1.0, p.y))
             _check_shortest_side(1.0, c, tol)
-        recovered = angles_from_normal_point(kind, p, tol)
-        if recovered is DEGENERATE:
+        try:
+            recovered = angles_from_normal_point(kind, p, tol)
+        except DegenerateAngles:
             return [
                 {
                     "command": "convert",

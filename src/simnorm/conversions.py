@@ -14,26 +14,9 @@ from __future__ import annotations
 import math
 import sys
 
-from .errors import DegenerateAngles, InvalidSides, OutOfDomain, UnboundedType
+from .errors import DegenerateAngles, OutOfDomain, UnboundedType
 from .geometry import DEFAULT_TOL, Point, Tolerance
 from .triangles import AngleTriple, FormKind, SideLengths, _rank, in_domain
-
-# radicand values in [-RADICAND_CLAMP * (a+b+c)^4, 0] are treated as exact
-# degeneracy and clamped to zero; anything more negative is a real error
-_RADICAND_CLAMP = 1e-12
-
-
-class _DegenerateMarker:
-    """Sentinel returned where a collinear input has no valid angle triple."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - repr only
-        return "DEGENERATE"
-
-
-DEGENERATE = _DegenerateMarker()
-
 
 def _radicand(a: float, b: float, c: float) -> float:
     # Kahan's factored 16 * area^2 for sorted a <= b <= c; the parentheses
@@ -64,8 +47,8 @@ def _point_from_sides(rank: int, a: float, b: float, c: float) -> tuple[float, f
     sides = (math.ldexp(a, k), math.ldexp(b, k), math.ldexp(c, k))
     r = _radicand(*sides)
     if r < 0.0:
-        if r < -_RADICAND_CLAMP * sum(sides) ** 4:
-            raise InvalidSides(f"triangle inequality fails for sides {(a, b, c)!r}")
+        # the triple passed _check_sides, whose slack lets a + b fall short
+        # of c by 1e-9 c: such a triple is flat, not invalid
         r = 0.0
     u = sides[rank]
     d1, d0 = sides[:rank] + sides[rank + 1 :]
@@ -102,22 +85,27 @@ def normal_point_from_angles(kind: FormKind, angles: AngleTriple) -> Point:
 
 def angles_from_normal_point(
     kind: FormKind, p: Point, tol: Tolerance = DEFAULT_TOL
-) -> AngleTriple | _DegenerateMarker:
+) -> AngleTriple:
     """Interior angles of the normal triangle with third vertex p.
 
     Points on the x-axis (within tol.eps) describe collinear configurations
-    and return the DEGENERATE marker instead of an angle triple.  atan2 is
+    and raise DegenerateAngles, as angles_from_sides does.  atan2 is
     used throughout: the angle at the anchor (1, 0) is pi minus the ray
     angle of p seen from it, which stays correct across x = 1.
     """
     if not in_domain(kind, p, tol):
         raise OutOfDomain(f"{p} is outside the region of the {kind.value!r} form")
     angles = _point_angles(p.x, p.y, tol.eps)
-    return angles if angles is DEGENERATE else AngleTriple(*angles)
+    if angles is None:
+        raise DegenerateAngles(f"{p} lies on the x-axis: a degenerate triangle")
+    return AngleTriple(*angles)
 
 
-def _point_angles(x: float, y: float, eps: float) -> tuple[float, float, float] | _DegenerateMarker:
+def _point_angles(x: float, y: float, eps: float) -> tuple[float, float, float] | None:
     """angles_from_normal_point of (x, y) as a sorted float triple, without the region check.
+
+    None stands for a point on the x-axis, so that a batch record tests for
+    a degenerate triangle without catching an exception.
 
     For normal points computed by this package: rounding can leave them a
     few ulps outside their region, which an eps below 1e-16 detects.  The
@@ -128,7 +116,7 @@ def _point_angles(x: float, y: float, eps: float) -> tuple[float, float, float] 
     anchors, not as the complement to pi, which cancels when it is tiny.
     """
     if abs(y) <= eps:
-        return DEGENERATE
+        return None
     a = math.atan2(y, x)
     b = math.atan2(y, 1.0 - x)
     c = math.atan2(abs(y), x * (x - 1.0) + y * y)
@@ -149,6 +137,6 @@ def angles_from_sides(s: SideLengths, tol: Tolerance = DEFAULT_TOL) -> AngleTrip
     DegenerateAngles since no valid angle triple exists for them.
     """
     angles = _point_angles(*_point_from_sides(2, s.a, s.b, s.c), tol.eps)
-    if angles is DEGENERATE:
+    if angles is None:
         raise DegenerateAngles(f"sides {(s.a, s.b, s.c)!r} describe a degenerate triangle")
     return AngleTriple(*angles)

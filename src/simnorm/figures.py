@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .geometry import TAU, Point
-from .triangles import FormKind, Triangle, equilateral_point
+from .geometry import Point
+from .triangles import FormKind, Triangle
 
 _SQRT3_2 = math.sqrt(3.0) / 2.0
 
@@ -96,14 +96,21 @@ class DomainFigure:
     inset: FigurePanel | None = None
 
 
+# the anchors and the equilateral point, shared by the three one-vertex panels
+_ONE_VERTEX_MARKERS = (
+    Marker(0.0, 0.0, "A", "anchor"),
+    Marker(1.0, 0.0, "B", "anchor"),
+    Marker(0.5, _SQRT3_2, "equilateral", "equilateral"),
+)
+
+
 def _c_panel() -> FigurePanel:
-    corner = equilateral_point()
     return FigurePanel(
         space=PLANE_SPACE,
         viewport=(-0.15, -0.15, 1.15, 1.0),
         boundary=(
             Segment(0.5, 0.0, 1.0, 0.0),
-            Segment(0.5, 0.0, 0.5, corner.y),
+            Segment(0.5, 0.0, 0.5, _SQRT3_2),
             Arc(0.0, 0.0, 1.0, 0.0, math.pi / 3.0),
         ),
         right_locus=(Arc(0.5, 0.0, 0.5, 0.0, math.pi / 2.0),),
@@ -120,22 +127,17 @@ def _c_panel() -> FigurePanel:
                 "acute",
                 (
                     Arc(0.0, 0.0, 1.0, 0.0, math.pi / 3.0),
-                    Segment(0.5, corner.y, 0.5, 0.5),
+                    Segment(0.5, _SQRT3_2, 0.5, 0.5),
                     Arc(0.5, 0.0, 0.5, math.pi / 2.0, 0.0),
                 ),
             ),
         ),
-        markers=(
-            Marker(0.0, 0.0, "A", "anchor"),
-            Marker(1.0, 0.0, "B", "anchor"),
-            Marker(corner.x, corner.y, "equilateral", "equilateral"),
-        ),
+        markers=_ONE_VERTEX_MARKERS,
         caption="longest-side domain: third vertex region with right-angle arc",
     )
 
 
 def _b_panel() -> FigurePanel:
-    corner = equilateral_point()
     return FigurePanel(
         space=PLANE_SPACE,
         viewport=(-0.15, -0.15, 2.15, 1.25),
@@ -163,23 +165,18 @@ def _b_panel() -> FigurePanel:
                 ),
             ),
         ),
-        markers=(
-            Marker(0.0, 0.0, "A", "anchor"),
-            Marker(1.0, 0.0, "B", "anchor"),
-            Marker(corner.x, corner.y, "equilateral", "equilateral"),
-        ),
+        markers=_ONE_VERTEX_MARKERS,
         caption="median-side domain: third vertex region with right-angle segment",
     )
 
 
 def _a_panel() -> FigurePanel:
-    corner = equilateral_point()
     return FigurePanel(
         space=PLANE_SPACE,
         viewport=(0.0, 0.0, 3.0, 3.0),
         boundary=(
             Segment(2.0, 0.0, 3.0, 0.0),
-            Segment(0.5, corner.y, 0.5, 3.0),
+            Segment(0.5, _SQRT3_2, 0.5, 3.0),
             Arc(1.0, 0.0, 1.0, 0.0, 2.0 * math.pi / 3.0),
         ),
         right_locus=(Segment(1.0, 1.0, 1.0, 3.0),),
@@ -190,7 +187,7 @@ def _a_panel() -> FigurePanel:
                     Arc(1.0, 0.0, 1.0, 2.0 * math.pi / 3.0, math.pi / 2.0),
                     Segment(1.0, 1.0, 1.0, 3.0),
                     Segment(1.0, 3.0, 0.5, 3.0),
-                    Segment(0.5, 3.0, 0.5, corner.y),
+                    Segment(0.5, 3.0, 0.5, _SQRT3_2),
                 ),
             ),
             Region(
@@ -204,11 +201,7 @@ def _a_panel() -> FigurePanel:
                 ),
             ),
         ),
-        markers=(
-            Marker(0.0, 0.0, "A", "anchor"),
-            Marker(1.0, 0.0, "B", "anchor"),
-            Marker(corner.x, corner.y, "equilateral", "equilateral"),
-        ),
+        markers=_ONE_VERTEX_MARKERS,
         caption="shortest-side domain, clipped to x in [0, 3], y in [0, 3] (unbounded)",
     )
 
@@ -220,7 +213,7 @@ def _circle_panels() -> tuple[FigurePanel, FigurePanel]:
     main = FigurePanel(
         space=PLANE_SPACE,
         viewport=(-1.3, -1.3, 1.3, 1.3),
-        boundary=(Arc(0.0, 0.0, 1.0, 0.0, TAU),),
+        boundary=(Arc(0.0, 0.0, 1.0, 0.0, math.tau),),
         right_locus=(),
         regions=(),
         markers=(Marker(1.0, 0.0, "C", "anchor"),),
@@ -332,7 +325,7 @@ class _PanelFrame:
 def _samples(curve: Curve) -> int:
     if isinstance(curve, Segment):
         return 2
-    return max(8, int(round(96.0 * abs(curve.t1 - curve.t0) / TAU)) + 1)
+    return max(8, int(round(96.0 * abs(curve.t1 - curve.t0) / math.tau)) + 1)
 
 
 def _path_data(frame: _PanelFrame, curves: tuple[Curve, ...], close: bool) -> str:
@@ -368,16 +361,12 @@ def _render_panel(out: list[str], panel: FigurePanel, frame: _PanelFrame) -> Non
         d = _path_data(frame, region.outline, close=True)
         out.append(f'    <path class="region-{region.label}" d="{d}" />\n')
     out.append("  </g>\n")
-    out.append('  <g class="boundary">\n')
-    for curve in panel.boundary:
-        d = _path_data(frame, (curve,), close=False)
-        out.append(f'    <path {_curve_attrs(curve, panel.space)} d="{d}" />\n')
-    out.append("  </g>\n")
-    out.append('  <g class="right-locus">\n')
-    for curve in panel.right_locus:
-        d = _path_data(frame, (curve,), close=False)
-        out.append(f'    <path {_curve_attrs(curve, panel.space)} d="{d}" />\n')
-    out.append("  </g>\n")
+    for group, curves in (("boundary", panel.boundary), ("right-locus", panel.right_locus)):
+        out.append(f'  <g class="{group}">\n')
+        for curve in curves:
+            d = _path_data(frame, (curve,), close=False)
+            out.append(f'    <path {_curve_attrs(curve, panel.space)} d="{d}" />\n')
+        out.append("  </g>\n")
     for shape in panel.shapes:
         pts = " ".join(
             "{},{}".format(*map(_fmt, frame.to_canvas(v))) for v in shape

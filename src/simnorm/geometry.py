@@ -11,8 +11,6 @@ from operator import attrgetter
 
 from .errors import DegenerateSegment
 
-TAU = math.tau
-
 # constructors store their fields with this, past _Value.__setattr__
 _set = object.__setattr__
 
@@ -141,7 +139,7 @@ class SimilarityTransform(_Value):
         _set(self, "scale", scale)
         # keep the angle in [-pi, pi] so transforms differing by full turns
         # compare equal
-        _set(self, "rotation", math.remainder(rotation, TAU))
+        _set(self, "rotation", math.remainder(rotation, math.tau))
         _set(self, "reflect", reflect)
         _set(self, "translation", translation)
 

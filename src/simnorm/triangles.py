@@ -18,8 +18,6 @@ from .geometry import (
     DEFAULT_TOL, ORIGIN, _HUGE, _TINY, Point, Tolerance, _rescaled, _set, _Value, distance
 )
 
-_EQUILATERAL_POINT = Point(0.5, math.sqrt(3.0) / 2.0)
-
 # validation slack for value types; independent of predicate tolerances
 _ANGLE_SLACK = 1e-9
 _SIDE_SLACK = 1e-9
@@ -361,8 +359,6 @@ def circle_normal_form(angles: AngleTriple) -> Triangle:
     itself at the center.  Vertices are returned in (A, B, C) order.
     """
     alpha, beta, _ = angles.as_tuple()
-    if alpha <= 0.0:
-        raise DegenerateAngles("circle form requires strictly positive angles")
     a_vtx = Point(math.cos(2.0 * beta), math.sin(2.0 * beta))
     b_vtx = Point(math.cos(2.0 * alpha), -math.sin(2.0 * alpha))
     return Triangle((a_vtx, b_vtx, Point(1.0, 0.0)))
@@ -449,8 +445,3 @@ def triangles_similar(t1: Triangle, t2: Triangle, tol: Tolerance = DEFAULT_TOL) 
     p0, p1, p2 = t2.vertices
     x2, y2 = _place(_side_pass(p0.x, p0.y, p1.x, p1.y, p2.x, p2.y), 2, tol)
     return abs(x1 - x2) <= tol.eps and abs(y1 - y2) <= tol.eps
-
-
-def equilateral_point() -> Point:
-    """The shared normal point (1/2, sqrt(3)/2) of equilateral triangles."""
-    return _EQUILATERAL_POINT

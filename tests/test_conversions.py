@@ -1,14 +1,15 @@
 """Closed-form conversions between sides, angles, and normal points."""
 
+import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from helpers import near_boundary_angles, rand_angles, rand_thick_triangle
 from oracles import exact_c_height, exact_normal_x, exact_smallest_angle
 from simnorm import (
-    DEGENERATE,
     AngleTriple,
     DegenerateAngles,
     FormKind,
@@ -27,6 +28,7 @@ from simnorm import (
     sides_from_angles,
     triangle_from_sides,
 )
+from simnorm.cli import main
 from simnorm.conversions import _point_angles, _radicand
 
 ONE_POINT_KINDS = (FormKind.C_VERTEX, FormKind.B_VERTEX, FormKind.A_VERTEX)
@@ -208,10 +210,12 @@ def test_apex_angle_far_up_the_shortest_side_region():
 
 
 def test_angles_from_normal_point_degenerate_marker():
-    assert angles_from_normal_point(FormKind.C_VERTEX, Point(0.75, 0.0)) is DEGENERATE
-    assert angles_from_normal_point(FormKind.C_VERTEX, Point(1.0, 0.0)) is DEGENERATE
-    assert angles_from_normal_point(FormKind.B_VERTEX, Point(1.5, 0.0)) is DEGENERATE
-    assert repr(DEGENERATE) == "DEGENERATE"
+    with pytest.raises(DegenerateAngles):
+        angles_from_normal_point(FormKind.C_VERTEX, Point(0.75, 0.0))
+    with pytest.raises(DegenerateAngles):
+        angles_from_normal_point(FormKind.C_VERTEX, Point(1.0, 0.0))
+    with pytest.raises(DegenerateAngles):
+        angles_from_normal_point(FormKind.B_VERTEX, Point(1.5, 0.0))
 
 
 def test_angles_from_normal_point_rejects_outside_points():
@@ -235,7 +239,6 @@ def test_angle_roundtrip_all_kinds():
         ang = AngleTriple(*vals)
         for kind in ONE_POINT_KINDS:
             back = angles_from_normal_point(kind, normal_point_from_angles(kind, ang))
-            assert back is not DEGENERATE
             for want, have in zip(ang.as_tuple(), back.as_tuple()):
                 assert abs(want - have) <= 1e-9
 
@@ -264,7 +267,6 @@ def test_side_ratio_roundtrip_all_kinds():
             s = side_lengths(rand_thick_triangle(rng))
         for kind in ONE_POINT_KINDS:
             back = angles_from_normal_point(kind, normal_point_from_sides(kind, s))
-            assert back is not DEGENERATE
             recovered = sides_from_angles(back, kind)
             for want, have in zip(s.ratios(), recovered.ratios()):
                 assert abs(want - have) <= 1e-7
@@ -341,9 +343,47 @@ def test_height_clamp_window():
     s = SideLengths.of(1.0, 1.0, 2.0 - 1e-13)
     p = normal_point_from_sides(FormKind.C_VERTEX, s)
     assert p.y >= 0.0
-    # far beyond the clamp window the triple is rejected outright
+    # within the slack of SideLengths a triple past flat lies on the axis
+    p = normal_point_from_sides(FormKind.C_VERTEX, SideLengths(1.0, 1.0, 2.0 + 1e-10))
+    assert p.y == 0.0
+    # beyond that slack the triple is rejected by SideLengths itself
     with pytest.raises(InvalidSides):
-        normal_point_from_sides(FormKind.C_VERTEX, SideLengths(1.0, 1.0, 2.0 + 1e-10))
+        SideLengths(1.0, 1.0, 2.0 + 1e-8)
+
+
+def _slack_triples(rng):
+    """Sorted triples with c * (1 - 1e-9) < a + b <= c, exactly, at scales 1 and 2**+-500."""
+    out = []
+    for family in ("needle", "isosceles", "scalene") * 40:
+        if family == "needle":
+            a = 10.0 ** rng.uniform(-8.0, -3.0)
+        elif family == "isosceles":
+            a = 0.5 * (1.0 - 10.0 ** rng.uniform(-12.0, -6.0))
+        else:
+            a = rng.uniform(0.01, 0.5)
+        # short of c = 1 by 1e-9 at most, the slack of SideLengths
+        b = 1.0 - 10.0 ** rng.uniform(-15.0, -9.05) - a
+        while Fraction(a) + Fraction(b) > 1:
+            b = math.nextafter(b, 0.0)
+        for k in (0, -500, 500):
+            out.append(tuple(math.ldexp(v, k) for v in sorted((a, b, 1.0))))
+    return out
+
+
+def test_triples_inside_the_side_slack_are_flat_on_every_route(capsys):
+    # SideLengths is the only triangle-inequality gate: what it accepts is
+    # flat, never rejected later by a conversion or by the CLI
+    for a, b, c in _slack_triples(random.Random(509)):
+        s = SideLengths(a, b, c)
+        for kind in (FormKind.C_VERTEX, FormKind.B_VERTEX):
+            assert normal_point_from_sides(kind, s).y <= 1e-9, (kind, s)
+        triangle_from_sides(s)
+        with pytest.raises(DegenerateAngles):
+            angles_from_sides(s)
+        code = main(["normalize", "--sides", repr(a), repr(b), repr(c), "--format", "structured"])
+        out, err = capsys.readouterr()
+        assert code == 0, err
+        assert json.loads(out)["degenerate"] is True, s
 
 
 def test_triangle_from_degenerate_sides():

@@ -1,5 +1,6 @@
 """Domain figures: declared geometry, markers, overlays, determinism."""
 
+import hashlib
 import math
 import xml.etree.ElementTree as ET
 
@@ -21,6 +22,22 @@ def test_declared_curves_sit_on_expected_loci(kind):
 def test_render_is_deterministic(kind):
     fig = domain_figure(kind)
     assert render_svg(fig) == render_svg(fig)
+
+
+# SHA-256 of render_svg(domain_figure(kind)): the text must not change
+# between runs, processes or versions unless the figure itself does
+SVG_SHA256 = {
+    FormKind.A_VERTEX: "24874868f0e12b55e7dfcb57053672eb901346a32aede0ec061769253ca8aea2",
+    FormKind.B_VERTEX: "e52977bbd7cde8fc4fbc99bf0156157044d931e35a29344a515e5116d5aee3ed",
+    FormKind.C_VERTEX: "cae5f239e097cc523c78901b5593b3cc3bd9b64c089ad627a06f58b5d3274b30",
+    FormKind.CIRCLE: "c298b3ae7ba11a6b0f67d5a6020215a576a8d974f1386bdb90c60c9a2572ac9c",
+}
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+def test_render_is_byte_stable(kind):
+    svg = render_svg(domain_figure(kind)).encode("utf-8")
+    assert hashlib.sha256(svg).hexdigest() == SVG_SHA256[kind]
 
 
 def test_one_vertex_figures_mark_both_anchors():

@@ -41,7 +41,6 @@ from simnorm import (
     circle_normal_form,
     classify,
     distance,
-    equilateral_point,
     in_a_domain,
     in_b_domain,
     in_c_domain,
@@ -119,7 +118,6 @@ def test_equilateral_normal_point_all_forms():
         p = fn(t)
         assert abs(p.x - EQUILATERAL.x) <= 1e-12
         assert abs(p.y - EQUILATERAL.y) <= 1e-12
-    assert equilateral_point() == Point(0.5, math.sqrt(3.0) / 2.0)
 
 
 def test_right_345_normal_points():
