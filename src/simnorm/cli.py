@@ -10,6 +10,14 @@ The four JSON layouts a batch writes are each formatted by one f-string,
 any other by json.  Those f-strings quote command, form_kind, angle_class
 and side_class without escaping, safe as the program makes all four.
 
+normalize --batch runs in three stages, each over the whole file: parse
+every line, then compute every record, then emit them, so an unparsable
+line reports ahead of an earlier one that fails to compute.  A line is
+split once on whitespace and its numbers read with float; a points line
+stays a flat tuple of floats and a sides line a sorted float triple, and
+only an angles line builds value types (an AngleTriple and the SideLengths
+of sides_from_angles).  Each record layout is one dict literal.
+
 Exit codes: 0 success, 2 parse or validation error, 3 domain error
 (unbounded type, degenerate input, out-of-domain point, arity mismatch),
 4 I/O error, a closed stdout included.  Diagnostics go to stderr as
@@ -28,6 +36,7 @@ import gc
 import math
 import os
 import sys
+from math import isfinite
 
 from .conversions import (
     _point_angles,
@@ -36,7 +45,7 @@ from .conversions import (
     sides_from_angles,
 )
 from .errors import ArityMismatch, DegenerateAngles, DegenerateQuad, GeometryError, InvalidSides
-from .geometry import DEFAULT_TOL, Point, Tolerance
+from .geometry import Point, Tolerance
 from .quads import _in_d_region, _quad_form, _quads_similar
 from .triangles import (
     _IN_REGION,
@@ -47,10 +56,10 @@ from .triangles import (
     _check_sides,
     _classify,
     _in_c_region,
-    _lengths,
     _place,
     _rank,
     _side_pass,
+    _sorted3,
     circle_normal_form,
     in_a_domain,
 )
@@ -63,12 +72,16 @@ def _format_value(value) -> str:
         return repr(value)
     if isinstance(value, tuple):
         if value and isinstance(value[0], tuple):
-            return "; ".join(_format_value(v) for v in value)
-        return "(" + ", ".join(_format_value(v) for v in value) + ")"
+            return "; ".join(map(_format_value, value))
+        if value and isinstance(value[0], float):
+            # a point, an angle or ratio triple or a key: floats only
+            return "(" + ", ".join(map(repr, value)) + ")"
+        return "(" + ", ".join(map(_format_value, value)) + ")"
     return str(value)
 
 
-# the most a write carries: PIPE_BUF on Linux
+# the records _emit joins at a time, and the most a write carries: PIPE_BUF on Linux
+_GROUP = 64
 _BLOCK = 4096
 
 # the fields of the records a batch writes, in record order: a one-vertex
@@ -117,6 +130,11 @@ def _json_line(rec: dict) -> str:
     return json.dumps(rec, sort_keys=True)
 
 
+def _text_block(rec: dict) -> str:
+    """The record as text: one "key: value" line per field."""
+    return "\n".join([f"{k}: {_format_value(v)}" for k, v in rec.items()])
+
+
 def _emit(records: list[dict], fmt: str) -> None:
     """Write the records to stdout, as JSON lines or as blocks of text.
 
@@ -129,32 +147,32 @@ def _emit(records: list[dict], fmt: str) -> None:
     layout, such as one that carries a file name, goes through json.
     """
     if fmt == "structured":
-        chunks = map(_json_line, records)
+        chunk, sep, lead = _json_line, "\n", ""
     else:
-        # a blank line between records
-        chunks = (
-            ("\n" if i else "") + "\n".join([f"{k}: {_format_value(v)}" for k, v in rec.items()])
-            for i, rec in enumerate(records)
-        )
-    # The chunks, records without their line break, are made lazily.  Whole
-    # records go out in blocks of at most _BLOCK characters, line breaks
-    # included, which are bytes for the ASCII records a batch writes; a longer
-    # record goes out on its own.  An unbuffered stdout hands each write to one
-    # os.write.  On a pipe, a write of up to PIPE_BUF bytes is atomic, so a
-    # reader that leaves makes it fail with EPIPE (exit 4) and never return
-    # short with the rest of the block lost silently, as one large write would.
+        # a blank line between records, the groups' first ones included
+        chunk, sep, lead = _text_block, "\n\n", "\n"
+    # Each _GROUP records are joined into one string, which goes out in
+    # blocks of whole records of at most _BLOCK characters, line breaks
+    # included; those are bytes for the ASCII records a batch writes.  A block
+    # ends at the last record boundary, a line break in JSON and a blank line
+    # in text, within _BLOCK characters; a longer record goes out on its own.
+    # (A blank line inside a text record, which only a file name can hold,
+    # passes for a boundary: that splits a write, not the bytes written.)
+    # An unbuffered stdout hands each write to one os.write.  On a pipe, a
+    # write of up to PIPE_BUF bytes is atomic, so a reader that leaves makes it
+    # fail with EPIPE (exit 4) and never return short with the rest of the
+    # block lost silently, as one large write would.
     write = sys.stdout.write
-    block = []
-    size = 0
-    for chunk in chunks:
-        if size + len(chunk) + 1 > _BLOCK and block:
-            write("\n".join(block) + "\n")
-            block = []
-            size = 0
-        block.append(chunk)
-        size += len(chunk) + 1
-    if block:
-        write("\n".join(block) + "\n")
+    for first in range(0, len(records), _GROUP):
+        text = sep.join(map(chunk, records[first : first + _GROUP])) + "\n"
+        if first:
+            text = lead + text
+        pos = 0
+        while len(text) - pos > _BLOCK:
+            end = text.rfind(sep, pos, pos + _BLOCK) + 1 or text.find(sep, pos) + 1 or len(text)
+            write(text[pos:end])
+            pos = end
+        write(text[pos:])
 
 
 # a shape is 3 or 4 vertices as a flat tuple of 6 or 8 finite coordinates,
@@ -175,26 +193,30 @@ def _shape(tag: str, numbers: list[float], degrees: bool) -> _Shape:
     Angles become side lengths with the longest side 1, the route every
     triangle record takes from there.
     """
+    n = len(numbers)
     if tag == "points":
-        if len(numbers) not in (6, 8):
-            raise ValueError(f"expected 3 or 4 points, got {len(numbers) / 2:g}")
-        if not all(map(math.isfinite, numbers)):
+        if n != 6 and n != 8:
+            raise ValueError(f"expected 3 or 4 points, got {n / 2:g}")
+        # the sum is finite when every number is, unless it overflows, and
+        # then the loop finds nothing to report
+        if not isfinite(sum(numbers)):
             # the message of Point, for the first point that fails
             for x, y in zip(numbers[::2], numbers[1::2]):
-                if not (math.isfinite(x) and math.isfinite(y)):
+                if not (isfinite(x) and isfinite(y)):
                     raise ValueError(f"point coordinates must be finite, got ({x!r}, {y!r})")
         return tuple(numbers)
-    if tag not in ("sides", "angles"):
+    if tag != "sides" and tag != "angles":
         raise ValueError(f"unknown record tag {tag!r}")
-    if len(numbers) != 3:
-        raise ValueError(f"record {tag!r} takes 3 numbers, got {len(numbers)}")
+    if n != 3:
+        raise ValueError(f"record {tag!r} takes 3 numbers, got {n}")
+    a, b, c = numbers
     if tag == "sides":
-        a, b, c = sorted(numbers)
+        a, b, c = _sorted3(a, b, c)
         _check_sides(a, b, c)
         return a, b, c
     if degrees:
-        numbers = [math.radians(v) for v in numbers]
-    s = sides_from_angles(AngleTriple(*numbers))
+        a, b, c = math.radians(a), math.radians(b), math.radians(c)
+    s = sides_from_angles(AngleTriple(a, b, c))
     return s.a, s.b, s.c
 
 
@@ -212,36 +234,10 @@ def _arity(shape: _Shape) -> int:
     return 3 if len(shape) == 3 else len(shape) // 2
 
 
-def _triangle_parts(
-    shape: _Shape,
-) -> tuple[tuple | None, tuple[float, float, float], tuple[float, float]]:
-    """The side pass (None for side lengths), the lengths a <= b <= c and the c point.
-
-    A point triangle gets all three from one side pass, which the record
-    reuses for the a and b forms.  The lengths are plain floats on both
-    routes: a side triple was checked by _check_sides when it was parsed,
-    and a side pass yields finite, nonnegative lengths.
-    """
-    if len(shape) == 3:
-        return None, shape, _point_from_sides(2, *shape)
-    if len(shape) != 6:
-        raise ArityMismatch(f"expected a triangle, got {len(shape) // 2} points")
-    x0, y0, x1, y1, x2, y2 = shape
-    if x0 == x1 == x2 and y0 == y1 == y2:
-        # the check of Triangle
-        raise ValueError("triangle needs at least two distinct vertices")
-    sides = _side_pass(x0, y0, x1, y1, x2, y2)
-    return sides, _lengths(sides), _place(sides, 2, DEFAULT_TOL)
-
-
 def _angles_out(values: tuple[float, float, float], degrees: bool):
     if degrees:
         return tuple(math.degrees(v) for v in values)
     return values
-
-
-def _point_pair(p: Point) -> tuple[float, float]:
-    return (p.x, p.y)
 
 
 # a form as the records name it, with its anchored side rank (None for the circle form)
@@ -256,61 +252,89 @@ def _form(kind: FormKind) -> _Form:
 def _triangle_record(
     command: str, shape: _Shape, form: _Form, tol: Tolerance, degrees: bool
 ) -> dict:
+    """The record of a triangle: three side lengths or three vertices.
+
+    A point triangle gets its lengths and c point from one side pass, which
+    the a and b forms reuse.  The lengths are plain floats on both routes: a
+    side triple was checked by _check_sides when it was parsed, and a side
+    pass yields finite, nonnegative lengths.  Each layout is one dict
+    literal, its fields in record order.
+    """
     name, rank = form
-    sides, (a, b, c), pc = _triangle_parts(shape)
-    xc, yc = pc
+    if len(shape) == 3:
+        sides = None
+        a, b, c = shape
+        xc, yc = _point_from_sides(2, a, b, c)
+    elif len(shape) == 6:
+        x0, y0, x1, y1, x2, y2 = shape
+        if x0 == x1 == x2 and y0 == y1 == y2:
+            # the check of Triangle
+            raise ValueError("triangle needs at least two distinct vertices")
+        sides = _side_pass(x0, y0, x1, y1, x2, y2)
+        a, b, c = _sorted3(sides[0], sides[1], sides[2])
+        xc, yc = _place(sides, 2, tol)
+    else:
+        raise ArityMismatch(f"expected a triangle, got {len(shape) // 2} points")
     cls = _classify(xc, yc, a, b, c, tol)
+    # _value_ is the member's value itself; .value reaches it through a
+    # descriptor call on every record
+    angle_class = cls.angle_class._value_
+    side_class = cls.side_class._value_
     ang = _point_angles(xc, yc, tol.eps)
     if rank is None:
         if ang is None:
             raise DegenerateAngles(f"sides {(a, b, c)!r} describe a degenerate triangle")
-        ref = circle_normal_form(AngleTriple(*ang))
-        record = {
+        return {
             "command": command,
             "form_kind": name,
-            "circle_vertices": tuple(_point_pair(v) for v in ref.vertices),
+            "circle_vertices": tuple(
+                (v.x, v.y) for v in circle_normal_form(AngleTriple(*ang)).vertices
+            ),
+            "angle_class": angle_class,
+            "side_class": side_class,
+            "angles": _angles_out(ang, degrees),
+            "side_ratios": (a / c, b / c, 1.0),
         }
+    if rank == 2:
+        x, y = xc, yc
+    elif sides is not None:
+        x, y = _place(sides, rank, tol)
     else:
-        if rank == 2:
-            p = pc
-        elif sides is not None:
-            p = _place(sides, rank, tol)
-        else:
-            if rank == 0:
-                # the limit a point triangle meets in _place
-                _check_shortest_side(a, c, tol)
-            p = _point_from_sides(rank, a, b, c)
-        record = {
+        if rank == 0:
+            # the limit a point triangle meets in _place
+            _check_shortest_side(a, c, tol)
+        x, y = _point_from_sides(rank, a, b, c)
+    if ang is None:
+        return {
             "command": command,
             "form_kind": name,
-            "normal_point": p,
-            "in_domain": _IN_REGION[rank](p[0], p[1], tol.eps),
+            "normal_point": (x, y),
+            "in_domain": _IN_REGION[rank](x, y, tol.eps),
+            "angle_class": angle_class,
+            "side_class": side_class,
+            "side_ratios": (a / c, b / c, 1.0),
+            "degenerate": True,
         }
-    # _value_ is the member's value itself; .value reaches it through a
-    # descriptor call on every record
-    record["angle_class"] = cls.angle_class._value_
-    record["side_class"] = cls.side_class._value_
-    if ang is not None:
-        record["angles"] = _angles_out(ang, degrees)
-    record["side_ratios"] = (a / c, b / c, 1.0)
-    if ang is None:
-        record["degenerate"] = True
-    return record
-
-
-def _quad_parts(shape: _Shape, tol: Tolerance) -> tuple[float, float, float, float]:
-    """The quad normal form (cx, cy, dx, dy) of four vertices."""
-    xs = shape[::2]
-    ys = shape[1::2]
-    if xs.count(xs[0]) == 4 and ys.count(ys[0]) == 4:
-        # the check of Quadrilateral
-        raise DegenerateQuad("quadrilateral needs at least two distinct vertices")
-    return _quad_form(*shape, tol.eps)
+    return {
+        "command": command,
+        "form_kind": name,
+        "normal_point": (x, y),
+        "in_domain": _IN_REGION[rank](x, y, tol.eps),
+        "angle_class": angle_class,
+        "side_class": side_class,
+        "angles": _angles_out(ang, degrees),
+        "side_ratios": (a / c, b / c, 1.0),
+    }
 
 
 def _quad_record(command: str, shape: _Shape, tol: Tolerance) -> dict:
-    cx, cy, dx, dy = _quad_parts(shape, tol)
+    """The record of a quad: its normal form (cx, cy, dx, dy) and region test."""
+    x0, y0, x1, y1, x2, y2, x3, y3 = shape
+    if x0 == x1 == x2 == x3 and y0 == y1 == y2 == y3:
+        # the check of Quadrilateral
+        raise DegenerateQuad("quadrilateral needs at least two distinct vertices")
     e = tol.eps
+    cx, cy, dx, dy = _quad_form(x0, y0, x1, y1, x2, y2, x3, y3, e)
     return {
         "command": command,
         "quad_c": (cx, cy),
@@ -324,15 +348,16 @@ def _kind_from_args(args) -> FormKind:
 
 
 def _batch_shapes(path: str, degrees: bool) -> list[tuple[int, _Shape]]:
+    """The numbered shapes of a batch file; blank lines and # comments are skipped."""
     shapes = []
+    append = shapes.append
     with open(path, encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
+            words = raw.split()
+            if not words or words[0][0] == "#":
                 continue
-            tag, *rest = line.split()
             try:
-                shapes.append((lineno, _shape(tag, list(map(float, rest)), degrees)))
+                append((lineno, _shape(words[0], list(map(float, words[1:])), degrees)))
             except (GeometryError, ValueError) as exc:
                 raise type(exc)(f"line {lineno}: {exc}") from exc
     return shapes
@@ -344,15 +369,18 @@ def _cmd_normalize(args, tol: Tolerance) -> list[dict]:
     else:
         numbered = [(0, _shape_from_args(args))]
     form = _form(_kind_from_args(args))
+    kind = args.kind
+    degrees = args.degrees
     records = []
+    append = records.append
     for lineno, shape in numbered:
         try:
-            if _arity(shape) == 4:
-                if args.kind is not None:
+            if len(shape) == 8:
+                if kind is not None:
                     raise ArityMismatch("--kind applies to triangles; got 4 points")
-                records.append(_quad_record("normalize", shape, tol))
+                append(_quad_record("normalize", shape, tol))
             else:
-                records.append(_triangle_record("normalize", shape, form, tol, args.degrees))
+                append(_triangle_record("normalize", shape, form, tol, degrees))
         except (GeometryError, ValueError) as exc:
             if lineno == 0:
                 raise
@@ -389,7 +417,7 @@ def _cmd_convert(args, tol: Tolerance) -> list[dict]:
                 {
                     "command": "convert",
                     "form_kind": kind.value,
-                    "normal_point": _point_pair(p),
+                    "normal_point": (p.x, p.y),
                     "degenerate": True,
                 }
             ]
@@ -401,7 +429,7 @@ def _cmd_convert(args, tol: Tolerance) -> list[dict]:
             {
                 "command": "convert",
                 "form_kind": kind.value,
-                "normal_point": _point_pair(p),
+                "normal_point": (p.x, p.y),
                 "angles": _angles_out(recovered.as_tuple(), args.degrees),
                 "side_ratios": s.ratios(),
             }
@@ -416,12 +444,15 @@ def _cmd_similar(args, tol: Tolerance) -> list[dict]:
         raise ArityMismatch(f"cannot compare arity {_arity(a)} with arity {_arity(b)}")
     e = tol.eps
     if _arity(a) == 4:
-        key_a = _quad_parts(a, tol)
-        key_b = _quad_parts(b, tol)
+        rec_a = _quad_record("similar", a, tol)
+        rec_b = _quad_record("similar", b, tol)
+        key_a = rec_a["quad_c"] + rec_a["quad_d"]
+        key_b = rec_b["quad_c"] + rec_b["quad_d"]
         verdict = _quads_similar(*a, *b, e)
     else:
-        key_a = _triangle_parts(a)[2]
-        key_b = _triangle_parts(b)[2]
+        form = _form(FormKind.C_VERTEX)
+        key_a = _triangle_record("similar", a, form, tol, False)["normal_point"]
+        key_b = _triangle_record("similar", b, form, tol, False)["normal_point"]
         verdict = abs(key_a[0] - key_b[0]) <= e and abs(key_a[1] - key_b[1]) <= e
     return [{"command": "similar", "similar": verdict, "key_a": key_a, "key_b": key_b}]
 

@@ -44,14 +44,19 @@ def normal_point_from_sides(kind: FormKind, s: SideLengths) -> Point:
 def _point_from_sides(rank: int, a: float, b: float, c: float) -> tuple[float, float]:
     """normal_point_from_sides on sorted lengths a <= b <= c of a valid triple, by side rank."""
     k = -math.frexp(c)[1]
-    sides = (math.ldexp(a, k), math.ldexp(b, k), math.ldexp(c, k))
-    r = _radicand(*sides)
+    sa, sb, sc = math.ldexp(a, k), math.ldexp(b, k), math.ldexp(c, k)
+    r = _radicand(sa, sb, sc)
     if r < 0.0:
         # the triple passed _check_sides, whose slack lets a + b fall short
         # of c by 1e-9 c: such a triple is flat, not invalid
         r = 0.0
-    u = sides[rank]
-    d1, d0 = sides[:rank] + sides[rank + 1 :]
+    # u the anchored side, d1 <= d0 the free ones
+    if rank == 2:
+        u, d1, d0 = sc, sa, sb
+    elif rank == 1:
+        u, d1, d0 = sb, sa, sc
+    else:
+        u, d1, d0 = sa, sb, sc
     den = 2.0 * u * u
     if den < sys.float_info.min:
         raise UnboundedType(f"sides {(a, b, c)!r} have no finite shortest-side form")
@@ -60,9 +65,9 @@ def _point_from_sides(rank: int, a: float, b: float, c: float) -> tuple[float, f
 
 def sides_from_angles(angles: AngleTriple, kind: FormKind = FormKind.C_VERTEX) -> SideLengths:
     """Side lengths by the law of sines, scaled so the kind's own side is 1."""
-    sines = [math.sin(v) for v in angles.as_tuple()]
+    sines = (math.sin(angles.alpha), math.sin(angles.beta), math.sin(angles.gamma))
     unit = sines[_rank(kind)]
-    return SideLengths.of(*(v / unit for v in sines))
+    return SideLengths.of(sines[0] / unit, sines[1] / unit, sines[2] / unit)
 
 
 def normal_point_from_angles(kind: FormKind, angles: AngleTriple) -> Point:

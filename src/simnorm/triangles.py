@@ -91,8 +91,27 @@ class Triangle(_Value):
         return cls((p, q, r))
 
 
+def _sorted3(x: float, y: float, z: float) -> tuple[float, float, float]:
+    """Three numbers in ascending order, as sorted() orders them, NaN included.
+
+    Three compare and swaps give sorted()'s very order on every triple, ties
+    and NaN included, without its list and call.
+    """
+    if x > y:
+        x, y = y, x
+    if y > z:
+        y, z = z, y
+        if x > y:
+            x, y = y, x
+    return x, y, z
+
+
 def _check_sides(a: float, b: float, c: float) -> None:
     """Raise InvalidSides unless a <= b <= c are the finite sides of a triangle."""
+    # a valid triple passes one chained test; past it, the checks run in
+    # order and the first that fails names the fault
+    if 0.0 <= a <= b <= c < math.inf and c > 0.0 and a + b >= c - _SIDE_SLACK * c:
+        return
     for v in (a, b, c):
         if not math.isfinite(v):
             raise InvalidSides(f"side lengths must be finite, got {v!r}")
@@ -102,8 +121,7 @@ def _check_sides(a: float, b: float, c: float) -> None:
         raise InvalidSides(f"sides must be sorted ascending: {(a, b, c)!r}")
     if c <= 0.0:
         raise InvalidSides("longest side must be positive")
-    if a + b < c - _SIDE_SLACK * c:
-        raise InvalidSides(f"triangle inequality fails: {(a, b, c)!r}")
+    raise InvalidSides(f"triangle inequality fails: {(a, b, c)!r}")
 
 
 class SideLengths(_Value):
@@ -123,8 +141,7 @@ class SideLengths(_Value):
     @classmethod
     def of(cls, x: float, y: float, z: float) -> SideLengths:
         """Sort three lengths; order of arguments does not matter."""
-        a, b, c = sorted((x, y, z))
-        return cls(a, b, c)
+        return cls(*_sorted3(x, y, z))
 
     def ratios(self) -> tuple[float, float, float]:
         """Scale-free key (a/c, b/c, 1)."""
@@ -145,18 +162,19 @@ class AngleTriple(_Value):
     gamma: float
 
     def __init__(self, alpha: float, beta: float, gamma: float) -> None:
-        angles = (alpha, beta, gamma)
-        for v in angles:
-            if not math.isfinite(v):
-                raise DegenerateAngles(f"angles must be finite, got {v!r}")
-        alpha, beta, gamma = sorted(angles)
-        if alpha <= 0.0:
-            raise DegenerateAngles(f"smallest angle must be positive, got {alpha!r}")
-        if abs(alpha + beta + gamma - math.pi) > _ANGLE_SLACK:
-            raise DegenerateAngles(f"angles must sum to pi, got {alpha + beta + gamma!r}")
-        _set(self, "alpha", alpha)
-        _set(self, "beta", beta)
-        _set(self, "gamma", gamma)
+        a, b, c = _sorted3(alpha, beta, gamma)
+        # a valid triple passes one chained test; past it, the checks run in
+        # order and the first that fails names the fault
+        if not (0.0 < a and c < math.inf and abs(a + b + c - math.pi) <= _ANGLE_SLACK):
+            for v in (alpha, beta, gamma):
+                if not math.isfinite(v):
+                    raise DegenerateAngles(f"angles must be finite, got {v!r}")
+            if a <= 0.0:
+                raise DegenerateAngles(f"smallest angle must be positive, got {a!r}")
+            raise DegenerateAngles(f"angles must sum to pi, got {a + b + c!r}")
+        _set(self, "alpha", a)
+        _set(self, "beta", b)
+        _set(self, "gamma", c)
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.alpha, self.beta, self.gamma)
@@ -209,18 +227,6 @@ def _side_pass(x0: float, y0: float, x1: float, y1: float, x2: float, y2: float)
         # at most one more pass: a capped rescale can leave the copy outside
         rescaled = True
         (x0, x1, x2), (y0, y1, y2) = _rescaled([x0, x1, x2], [y0, y1, y2], longest)
-
-
-def _lengths(sides: _Sides) -> tuple[float, float, float]:
-    """The three side lengths of a side pass, sorted ascending."""
-    a, b, c = sides[0], sides[1], sides[2]
-    if a > b:
-        a, b = b, a
-    if b > c:
-        b, c = c, b
-        if a > b:
-            a, b = b, a
-    return a, b, c
 
 
 def _check_shortest_side(a: float, c: float, tol: Tolerance) -> None:
@@ -434,7 +440,7 @@ def classify(t: Triangle, tol: Tolerance = DEFAULT_TOL) -> TriangleClass:
     p0, p1, p2 = t.vertices
     sides = _side_pass(p0.x, p0.y, p1.x, p1.y, p2.x, p2.y)
     x, y = _place(sides, 2, tol)
-    a, b, c = _lengths(sides)
+    a, b, c = _sorted3(sides[0], sides[1], sides[2])
     return _classify(x, y, a, b, c, tol)
 
 

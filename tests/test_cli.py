@@ -17,6 +17,7 @@ from figchecks import check_figure, markers_by_class
 from helpers import rand_angles, rand_quad, rand_triangle
 from simnorm import (
     AngleTriple,
+    DegenerateAngles,
     FormKind,
     GeometryError,
     Point,
@@ -24,6 +25,7 @@ from simnorm import (
     SideLengths,
     Tolerance,
     Triangle,
+    angles_from_normal_point,
     c_normal_point,
     distance,
     in_c_domain,
@@ -32,6 +34,7 @@ from simnorm import (
     normal_point,
     normal_point_from_sides,
     normalize_quad,
+    side_lengths,
     sides_from_angles,
 )
 from simnorm import cli
@@ -156,6 +159,26 @@ def test_near_max_triangle_record(capsys):
     assert "side_ratios: (0.580090674215177, 0.580090674215177, 1.0)" in out
     assert "angle_class: obtuse" in out
     assert "side_class: isosceles" in out
+
+
+def test_points_whose_coordinates_sum_past_the_float_range_parse(tmp_path, capsys):
+    # the parse tests a points line's coordinates through their sum, and only
+    # looks at each one when that is not finite, as on these finite lines
+    batch = tmp_path / "batch.txt"
+    batch.write_text(
+        "points 1e308 0 1.5e308 1e308 1.7e308 1.7e308\n"
+        "points 1e308 0 1.5e308 1e308 1.7e308 1.7e308 0 1.7e308\n",
+        encoding="utf-8",
+    )
+    tri, quad = run_json(capsys, "normalize", "--batch", str(batch))
+    p = c_normal_point(Triangle.of(Point(1e308, 0.0), Point(1.5e308, 1e308), Point(1.7e308, 1.7e308)))
+    assert tri["normal_point"] == [p.x, p.y]
+    nf = normalize_quad(
+        Quadrilateral.of(
+            Point(1e308, 0.0), Point(1.5e308, 1e308), Point(1.7e308, 1.7e308), Point(0.0, 1.7e308)
+        )
+    )
+    assert quad["quad_c"] == [nf.c.x, nf.c.y] and quad["quad_d"] == [nf.d.x, nf.d.y]
 
 
 def test_triangle_record_takes_three_side_lengths(capsys, monkeypatch):
@@ -594,6 +617,30 @@ def test_a_batch_makes_no_reference_cycles(tmp_path, capsys):
     assert counts == [counts[0]] * 4, counts
 
 
+def test_batch_calls_each_stage_function_once_per_stage_or_record(tmp_path, capsys, monkeypatch):
+    # the benchmark times the batch stages by wrapping these four functions;
+    # a batch that stopped calling one would read 0 in that stage's metric
+    counts = dict.fromkeys(("_batch_shapes", "_triangle_record", "_quad_record", "_emit"), 0)
+    for name in counts:
+
+        def counted(*args, _real=getattr(cli, name), _name=name):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(cli, name, counted)
+    batch = tmp_path / "batch.txt"
+    batch.write_text(
+        "sides 3 4 5\n# a comment\npoints 0 0 1 0 1 1 0 1\n\nangles 1 1 1.1415926535897931\n"
+        "points 0 0 1 0 0 1\npoints 0 0 2 0 2 2 0 3\npoints 0 0 1 0 2 0\n",
+        encoding="utf-8",
+    )
+    for fmt in ("structured", "text"):
+        counts.update(dict.fromkeys(counts, 0))
+        code, out, err = run(capsys, "normalize", "--batch", str(batch), "--format", fmt)
+        assert code == 0, err
+        assert counts == {"_batch_shapes": 1, "_triangle_record": 4, "_quad_record": 2, "_emit": 1}
+
+
 def _library_fields(line, kind):
     """The fields of a structured batch record for this line, from the public value-type API."""
     tag, *nums = line.split()
@@ -606,12 +653,21 @@ def _library_fields(line, kind):
             "in_domain": in_c_domain(nf.c) and in_d_region(nf.d, nf.c),
         }
     if tag == "points":
-        p = normal_point(kind, Triangle(tuple(map(Point, vals[::2], vals[1::2]))))
-    elif tag == "sides":
-        p = normal_point_from_sides(kind, SideLengths.of(*vals))
+        t = Triangle(tuple(map(Point, vals[::2], vals[1::2])))
+        s = side_lengths(t)
+        pc = c_normal_point(t)
+        p = normal_point(kind, t)
     else:
-        p = normal_point_from_sides(kind, sides_from_angles(AngleTriple(*vals)))
-    return {"normal_point": (p.x, p.y), "in_domain": in_domain(kind, p)}
+        s = SideLengths.of(*vals) if tag == "sides" else sides_from_angles(AngleTriple(*vals))
+        pc = normal_point_from_sides(FormKind.C_VERTEX, s)
+        p = normal_point_from_sides(kind, s)
+    fields = {"normal_point": (p.x, p.y), "in_domain": in_domain(kind, p), "side_ratios": s.ratios()}
+    # a record's angles are those of its longest-side normal point, in any form
+    try:
+        fields["angles"] = angles_from_normal_point(FormKind.C_VERTEX, pc).as_tuple()
+    except DegenerateAngles:
+        fields["degenerate"] = True
+    return fields
 
 
 @pytest.mark.parametrize("kind", [None, "a", "b", "c"])
@@ -635,7 +691,9 @@ def test_batch_records_match_the_library(tmp_path, capsys, kind):
     argv = ["normalize", "--batch", str(batch)] + ([] if kind is None else ["--kind", kind])
     records = run_json(capsys, *argv)
     assert len(records) == len(kept)
+    assert sum("degenerate" in want for want in expected) > 10
     for line, rec, want in zip(kept, records, expected):
+        assert ("angles" in rec, "degenerate" in rec) == ("angles" in want, "degenerate" in want)
         for key, value in want.items():
             got = tuple(rec[key]) if isinstance(value, tuple) else rec[key]
             assert repr(got) == repr(value), (line, key)

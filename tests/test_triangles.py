@@ -14,7 +14,6 @@ from helpers import (
     rand_thick_triangle,
     rand_transform,
     rand_triangle,
-    repeated_vertex_triangle,
 )
 from oracles import (
     list_sort_classify,
@@ -50,6 +49,7 @@ from simnorm import (
     triangle_from_sides,
     triangles_similar,
 )
+from simnorm.triangles import _sorted3
 
 EQUILATERAL = Point(0.5, math.sqrt(3.0) / 2.0)
 
@@ -92,6 +92,49 @@ def test_side_lengths_of_is_order_insensitive():
     perms = [(3.0, 4.0, 5.0), (5.0, 4.0, 3.0), (4.0, 5.0, 3.0)]
     triples = {SideLengths.of(*p) for p in perms}
     assert len(triples) == 1
+
+
+def test_sorted3_orders_as_sorted_does():
+    # the value types and the batch parse sort triples by compare and swap;
+    # it must return sorted()'s very objects, NaN and ties included, so that
+    # an error message names the same value
+    values = [math.nan, float("nan"), -math.inf, -1.0, -0.0, 0.0, 1.0, float("1.0"), 2.0, math.inf]
+    for triple in itertools.product(values, repeat=3):
+        got = _sorted3(*triple)
+        assert all(g is w for g, w in zip(got, sorted(triple), strict=True)), triple
+
+
+@pytest.mark.parametrize(
+    "sides, message",
+    [
+        ((math.nan, 1.0, math.inf), "side lengths must be finite, got nan"),
+        ((1.0, math.inf, math.nan), "side lengths must be finite, got inf"),
+        ((-1.0, 1.0, 1.0), "side lengths must be nonnegative, got -1.0"),
+        ((1.0, 0.5, 1.0), "sides must be sorted ascending: (1.0, 0.5, 1.0)"),
+        ((0.0, 0.0, 0.0), "longest side must be positive"),
+        ((1.0, 2.0, 4.0), "triangle inequality fails: (1.0, 2.0, 4.0)"),
+    ],
+)
+def test_side_lengths_name_the_first_check_that_fails(sides, message):
+    with pytest.raises(InvalidSides) as info:
+        SideLengths(*sides)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "angles, message",
+    [
+        ((1.0, math.inf, math.nan), "angles must be finite, got inf"),
+        ((math.nan, -math.inf, 1.0), "angles must be finite, got nan"),
+        ((1.6, -0.1, 1.6415926535897931), "smallest angle must be positive, got -0.1"),
+        ((1.0, 1.0, 1.0), "angles must sum to pi, got 3.0"),
+        ((1e308, 1e308, 1e308), "angles must sum to pi, got inf"),
+    ],
+)
+def test_angle_triple_names_the_first_check_that_fails(angles, message):
+    with pytest.raises(DegenerateAngles) as info:
+        AngleTriple(*angles)
+    assert str(info.value) == message
 
 
 def test_angle_triple_sorted_and_validated():
