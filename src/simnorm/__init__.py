@@ -1,119 +1,20 @@
 """Canonical representatives of plane triangles and quadrilaterals up to similarity."""
 
-from .conversions import (
-    angles_from_normal_point,
-    angles_from_sides,
-    normal_point_from_angles,
-    normal_point_from_sides,
-    sides_from_angles,
-)
-from .errors import (
-    ArityMismatch,
-    DegenerateAngles,
-    DegenerateQuad,
-    DegenerateSegment,
-    GeometryError,
-    InvalidSides,
-    OutOfDomain,
-    PreconditionViolated,
-    UnboundedType,
-)
-from .geometry import (
-    DEFAULT_TOL,
-    ORIGIN,
-    UNIT_X,
-    Point,
-    SimilarityTransform,
-    Tolerance,
-    distance,
-    quasilex_eq,
-    reflect_normalize,
-    similarity_from_segment,
-)
-from .quads import (
-    QuadNormalForm,
-    Quadrilateral,
-    in_d_region,
-    normalize_quad,
-    quads_similar,
-    reflection_orbit_type_count,
-)
-from .triangles import (
-    AngleClass,
-    AngleTriple,
-    FormKind,
-    SideClass,
-    SideLengths,
-    Triangle,
-    TriangleClass,
-    a_normal_point,
-    b_normal_point,
-    c_normal_point,
-    circle_normal_form,
-    classify,
-    in_a_domain,
-    in_b_domain,
-    in_c_domain,
-    in_domain,
-    is_normal_circle_triangle,
-    normal_point,
-    side_lengths,
-    triangle_from_sides,
-    triangles_similar,
-)
+from . import conversions, errors, geometry, quads, triangles
+from .conversions import *
+from .errors import *
+from .geometry import *
+from .quads import *
+from .triangles import *
 
 __version__ = "0.1.0"
 
+# each module's __all__ is its public API, and the package re-exports them all
 __all__ = [
-    "AngleClass",
-    "AngleTriple",
-    "ArityMismatch",
-    "DEFAULT_TOL",
-    "DegenerateAngles",
-    "DegenerateQuad",
-    "DegenerateSegment",
-    "FormKind",
-    "GeometryError",
-    "InvalidSides",
-    "ORIGIN",
-    "OutOfDomain",
-    "Point",
-    "PreconditionViolated",
-    "QuadNormalForm",
-    "Quadrilateral",
-    "SideClass",
-    "SideLengths",
-    "SimilarityTransform",
-    "Tolerance",
-    "Triangle",
-    "TriangleClass",
-    "UNIT_X",
-    "UnboundedType",
-    "a_normal_point",
-    "angles_from_normal_point",
-    "angles_from_sides",
-    "b_normal_point",
-    "c_normal_point",
-    "circle_normal_form",
-    "classify",
-    "distance",
-    "in_a_domain",
-    "in_b_domain",
-    "in_c_domain",
-    "in_d_region",
-    "in_domain",
-    "is_normal_circle_triangle",
-    "normal_point",
-    "normal_point_from_angles",
-    "normal_point_from_sides",
-    "normalize_quad",
-    "quads_similar",
-    "quasilex_eq",
-    "reflect_normalize",
-    "side_lengths",
-    "sides_from_angles",
-    "similarity_from_segment",
-    "triangle_from_sides",
-    "triangles_similar",
+    *conversions.__all__,
+    *errors.__all__,
+    *geometry.__all__,
+    *quads.__all__,
+    *triangles.__all__,
     "__version__",
 ]

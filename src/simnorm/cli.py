@@ -44,9 +44,9 @@ from .conversions import (
     angles_from_normal_point,
     sides_from_angles,
 )
-from .errors import ArityMismatch, DegenerateAngles, DegenerateQuad, GeometryError, InvalidSides
+from .errors import ArityMismatch, DegenerateAngles, GeometryError, InvalidSides
 from .geometry import Point, Tolerance
-from .quads import _in_d_region, _quad_form, _quads_similar
+from .quads import Quadrilateral, _in_d_region, _quad_form, _quads_similar
 from .triangles import (
     _IN_REGION,
     AngleTriple,
@@ -68,8 +68,6 @@ from .triangles import (
 def _format_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
     if isinstance(value, tuple):
         if value and isinstance(value[0], tuple):
             return "; ".join(map(_format_value, value))
@@ -200,10 +198,9 @@ def _shape(tag: str, numbers: list[float], degrees: bool) -> _Shape:
         # the sum is finite when every number is, unless it overflows, and
         # then the loop finds nothing to report
         if not isfinite(sum(numbers)):
-            # the message of Point, for the first point that fails
+            # Point raises its own error for the first point that fails
             for x, y in zip(numbers[::2], numbers[1::2]):
-                if not (isfinite(x) and isfinite(y)):
-                    raise ValueError(f"point coordinates must be finite, got ({x!r}, {y!r})")
+                Point(x, y)
         return tuple(numbers)
     if tag != "sides" and tag != "angles":
         raise ValueError(f"unknown record tag {tag!r}")
@@ -268,8 +265,8 @@ def _triangle_record(
     elif len(shape) == 6:
         x0, y0, x1, y1, x2, y2 = shape
         if x0 == x1 == x2 and y0 == y1 == y2:
-            # the check of Triangle
-            raise ValueError("triangle needs at least two distinct vertices")
+            # past the float test, Triangle raises its own error
+            Triangle((Point(x0, y0),) * 3)
         sides = _side_pass(x0, y0, x1, y1, x2, y2)
         a, b, c = _sorted3(sides[0], sides[1], sides[2])
         xc, yc = _place(sides, 2, tol)
@@ -331,8 +328,8 @@ def _quad_record(command: str, shape: _Shape, tol: Tolerance) -> dict:
     """The record of a quad: its normal form (cx, cy, dx, dy) and region test."""
     x0, y0, x1, y1, x2, y2, x3, y3 = shape
     if x0 == x1 == x2 == x3 and y0 == y1 == y2 == y3:
-        # the check of Quadrilateral
-        raise DegenerateQuad("quadrilateral needs at least two distinct vertices")
+        # past the float test, Quadrilateral raises its own error
+        Quadrilateral((Point(x0, y0),) * 4)
     e = tol.eps
     cx, cy, dx, dy = _quad_form(x0, y0, x1, y1, x2, y2, x3, y3, e)
     return {
@@ -368,16 +365,14 @@ def _cmd_normalize(args, tol: Tolerance) -> list[dict]:
         numbered = _batch_shapes(args.batch, args.degrees)
     else:
         numbered = [(0, _shape_from_args(args))]
+    # --kind names the triangle form; a quad always gets the quad form
     form = _form(_kind_from_args(args))
-    kind = args.kind
     degrees = args.degrees
     records = []
     append = records.append
     for lineno, shape in numbered:
         try:
             if len(shape) == 8:
-                if kind is not None:
-                    raise ArityMismatch("--kind applies to triangles; got 4 points")
                 append(_quad_record("normalize", shape, tol))
             else:
                 append(_triangle_record("normalize", shape, form, tol, degrees))
@@ -472,16 +467,13 @@ def _write_text(path: str, text: str) -> None:
         handle.write(text)
 
 
-_ALL_KINDS = (FormKind.A_VERTEX, FormKind.B_VERTEX, FormKind.C_VERTEX, FormKind.CIRCLE)
-
-
 def _cmd_domains(args, tol: Tolerance) -> list[dict]:
     # deferred here and in _cmd_plot: only the drawing commands need figures,
     # and importing it at module level slows every other command's start-up
     from .figures import domain_figure, render_svg
 
     if args.kind is None or args.kind == "all":
-        kinds = _ALL_KINDS
+        kinds = tuple(FormKind)
         out_dir = args.out if args.out is not None else "."
         paths = [os.path.join(out_dir, f"domain_{k.value}.svg") for k in kinds]
     else:

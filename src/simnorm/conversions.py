@@ -16,7 +16,7 @@ import sys
 
 from .errors import DegenerateAngles, OutOfDomain, UnboundedType
 from .geometry import DEFAULT_TOL, Point, Tolerance
-from .triangles import AngleTriple, FormKind, SideLengths, _rank, in_domain
+from .triangles import AngleTriple, FormKind, SideLengths, _rank, _sorted3, in_domain
 
 def _radicand(a: float, b: float, c: float) -> float:
     # Kahan's factored 16 * area^2 for sorted a <= b <= c; the parentheses
@@ -122,16 +122,9 @@ def _point_angles(x: float, y: float, eps: float) -> tuple[float, float, float] 
     """
     if abs(y) <= eps:
         return None
-    a = math.atan2(y, x)
-    b = math.atan2(y, 1.0 - x)
-    c = math.atan2(abs(y), x * (x - 1.0) + y * y)
-    if a > b:
-        a, b = b, a
-    if b > c:
-        b, c = c, b
-        if a > b:
-            a, b = b, a
-    return a, b, c
+    return _sorted3(
+        math.atan2(y, x), math.atan2(y, 1.0 - x), math.atan2(abs(y), x * (x - 1.0) + y * y)
+    )
 
 
 def angles_from_sides(s: SideLengths, tol: Tolerance = DEFAULT_TOL) -> AngleTriple:
@@ -145,3 +138,12 @@ def angles_from_sides(s: SideLengths, tol: Tolerance = DEFAULT_TOL) -> AngleTrip
     if angles is None:
         raise DegenerateAngles(f"sides {(s.a, s.b, s.c)!r} describe a degenerate triangle")
     return AngleTriple(*angles)
+
+
+__all__ = [
+    "angles_from_normal_point",
+    "angles_from_sides",
+    "normal_point_from_angles",
+    "normal_point_from_sides",
+    "sides_from_angles",
+]

@@ -39,3 +39,16 @@ class ArityMismatch(GeometryError):
 
 class PreconditionViolated(GeometryError):
     """An operation was called outside its documented precondition."""
+
+
+__all__ = [
+    "ArityMismatch",
+    "DegenerateAngles",
+    "DegenerateQuad",
+    "DegenerateSegment",
+    "GeometryError",
+    "InvalidSides",
+    "OutOfDomain",
+    "PreconditionViolated",
+    "UnboundedType",
+]

@@ -230,3 +230,16 @@ def quasilex_eq(p: Point, q: Point, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Tolerance-aware tie test: the normalized images coincide within tol."""
     return reflect_normalize(p).close_to(reflect_normalize(q), tol)
 
+
+__all__ = [
+    "DEFAULT_TOL",
+    "ORIGIN",
+    "UNIT_X",
+    "Point",
+    "SimilarityTransform",
+    "Tolerance",
+    "distance",
+    "quasilex_eq",
+    "reflect_normalize",
+    "similarity_from_segment",
+]

@@ -190,13 +190,10 @@ def _quad_form(
             # the lead claims the c slot; ties admit both orders
             f1 = abs(u1 - 0.5)
             f2 = abs(u2 - 0.5)
-            if f1 > f2 + e:
+            # f2 <= f1 + e negates f2 > f1 + e exactly; f1 >= f2 - e rounds differently
+            if f1 > f2 + e or f2 <= f1 + e and abs(v1) > abs(v2) + e:
                 leads = ((u1, v1, u2, v2),)
-            elif f2 > f1 + e:
-                leads = ((u2, v2, u1, v1),)
-            elif abs(v1) > abs(v2) + e:
-                leads = ((u1, v1, u2, v2),)
-            elif abs(v2) > abs(v1) + e:
+            elif f2 > f1 + e or abs(v2) > abs(v1) + e:
                 leads = ((u2, v2, u1, v1),)
             else:
                 leads = ((u1, v1, u2, v2), (u2, v2, u1, v1))

@@ -451,3 +451,28 @@ def triangles_similar(t1: Triangle, t2: Triangle, tol: Tolerance = DEFAULT_TOL) 
     p0, p1, p2 = t2.vertices
     x2, y2 = _place(_side_pass(p0.x, p0.y, p1.x, p1.y, p2.x, p2.y), 2, tol)
     return abs(x1 - x2) <= tol.eps and abs(y1 - y2) <= tol.eps
+
+
+__all__ = [
+    "AngleClass",
+    "AngleTriple",
+    "FormKind",
+    "SideClass",
+    "SideLengths",
+    "Triangle",
+    "TriangleClass",
+    "a_normal_point",
+    "b_normal_point",
+    "c_normal_point",
+    "circle_normal_form",
+    "classify",
+    "in_a_domain",
+    "in_b_domain",
+    "in_c_domain",
+    "in_domain",
+    "is_normal_circle_triangle",
+    "normal_point",
+    "side_lengths",
+    "triangle_from_sides",
+    "triangles_similar",
+]

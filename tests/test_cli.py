@@ -673,13 +673,12 @@ def _library_fields(line, kind):
 @pytest.mark.parametrize("kind", [None, "a", "b", "c"])
 def test_batch_records_match_the_library(tmp_path, capsys, kind):
     # the batch runs on the private float kernels, the library on value types;
-    # both must give the same floats.  With --kind, quads are left out
+    # both must give the same floats.  --kind names the triangle form only, so
+    # the quads keep their quad form under it
     lines = _mixed_batch(random.Random(1411), 1500).splitlines()
     form = FormKind.C_VERTEX if kind is None else FormKind(kind)
     kept, expected = [], []
     for line in lines:
-        if kind is not None and len(line.split()) == 9:
-            continue
         try:
             expected.append(_library_fields(line, form))
         except GeometryError:
@@ -692,6 +691,7 @@ def test_batch_records_match_the_library(tmp_path, capsys, kind):
     records = run_json(capsys, *argv)
     assert len(records) == len(kept)
     assert sum("degenerate" in want for want in expected) > 10
+    assert sum("quad_c" in want for want in expected) > 300
     for line, rec, want in zip(kept, records, expected):
         assert ("angles" in rec, "degenerate" in rec) == ("angles" in want, "degenerate" in want)
         for key, value in want.items():
@@ -722,6 +722,21 @@ def test_batch_records_match_the_library(tmp_path, capsys, kind):
             "points 0 0 1 0 1 1 0 1\npoints 0 0 1\n",
             2,
             "ValueError: line 2: expected 3 or 4 points, got 1.5",
+        ),
+        (
+            "sides 3 4 5\nquad 0 0 1 0 1 1 0 1\n",
+            2,
+            "ValueError: line 2: unknown record tag 'quad'",
+        ),
+        (
+            "sides 3 4 5\nsides 3 4\n",
+            2,
+            "ValueError: line 2: record 'sides' takes 3 numbers, got 2",
+        ),
+        (
+            "angles 1 1 1.1415 0.5\n",
+            2,
+            "ValueError: line 1: record 'angles' takes 3 numbers, got 4",
         ),
     ],
 )
@@ -1158,7 +1173,6 @@ def test_structured_batches_leave_json_unloaded(tmp_path):
     flat = ["points 0 0 1 0 2 0", "sides 1 2 3"]
     quads = ["points " + " ".join(map(repr, _flat_coords(rand_quad(rng).vertices))) for _ in range(30)]
     batches = [
-        # --kind refuses quads, so the batch with quads takes the c form by default
         ("all", triangles + flat + quads, []),
         ("flat", triangles + flat, ["--kind", "c"]),
         ("circle", triangles, ["--kind", "circle"]),

@@ -1,4 +1,11 @@
-"""The package's export list names each public object once, and every name resolves."""
+"""The package's export list names each public object once, and every name resolves.
+
+Each module's __all__ lists the public names it defines, and the package
+re-exports their union.
+"""
+
+import importlib
+import inspect
 
 import simnorm
 
@@ -16,3 +23,28 @@ def test_star_import_runs():
     namespace = {}
     exec("from simnorm import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == sorted(simnorm.__all__)
+
+
+MODULES = ("conversions", "errors", "geometry", "quads", "triangles")
+
+
+def test_each_module_lists_its_own_public_names():
+    # a module's __all__ is its public API, so a public class or function
+    # defined there and missing from it would silently leave the package
+    for name in MODULES:
+        module = importlib.import_module(f"simnorm.{name}")
+        defined = {
+            attr
+            for attr, obj in vars(module).items()
+            if not attr.startswith("_")
+            and (inspect.isclass(obj) or inspect.isfunction(obj))
+            and obj.__module__ == module.__name__
+        }
+        assert defined <= set(module.__all__), (name, sorted(defined - set(module.__all__)))
+
+
+def test_the_package_exports_the_disjoint_union_of_the_module_lists():
+    lists = [importlib.import_module(f"simnorm.{name}").__all__ for name in MODULES]
+    union = [n for names in lists for n in names]
+    assert len(union) == len(set(union)), "a name is listed by two modules"
+    assert sorted(simnorm.__all__) == sorted(union + ["__version__"])

@@ -83,6 +83,9 @@ def test_d_region_examples():
     assert not in_d_region(Point(0.9, 0.1), c)
     # unit-disc caps around both anchors apply
     assert not in_d_region(Point(0.5, -0.95), Point(0.5, 0.95))
+    assert not in_d_region(Point(-0.5, 0.0), c)
+    # on a fold tie, a larger |y| than c's is rejected
+    assert not in_d_region(Point(0.75, 0.5), Point(0.75, 0.2))
 
 
 def test_d_region_gives_a_verdict_far_out():

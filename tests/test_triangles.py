@@ -626,6 +626,13 @@ def test_is_normal_circle_triangle_rejects_off_circle_copies():
     assert not is_normal_circle_triangle(moved)
     shifted = Triangle.of(*(Point(v.x + 0.25, v.y) for v in t.vertices))
     assert not is_normal_circle_triangle(shifted)
+    # on the circle, but no vertex at (1, 0)
+    on_circle = [Point(math.cos(k * math.pi / 6), math.sin(k * math.pi / 6)) for k in range(12)]
+    turned = Triangle.of(on_circle[3], on_circle[7], on_circle[11])
+    assert not is_normal_circle_triangle(turned)
+    # a vertex at (1, 0), but both others above the axis
+    above = Triangle.of(on_circle[0], on_circle[2], on_circle[4])
+    assert not is_normal_circle_triangle(above)
 
 
 @given(
