@@ -9,6 +9,7 @@ noise and the tests would measure rounding instead of the geometry.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -200,3 +201,113 @@ def lead_tie_quad(rng: random.Random, eps: float) -> Quadrilateral:
         dists = _lens_distances(c, d)
         if max(dists) < 0.95 and dists[4] > 0.05:
             return _threshold_quad(c, d)
+
+
+def _golden_points(pts) -> str:
+    return "points " + " ".join(repr(c) for p in pts for c in p)
+
+
+def _golden_angles(values, degrees: bool) -> str:
+    values = list(values)
+    if degrees:
+        values = [math.degrees(v) for v in values]
+    return "angles " + " ".join(map(repr, values))
+
+
+def _needle(a: float, t: float) -> tuple[tuple[float, float], ...]:
+    """The triangle with sides (a, 1, 1 + a*t), its short side on the x-axis.
+
+    The apex x comes from the factored difference of squares, so the apex
+    stays off the base vertices for every a: the form 1 - a^2/2 rounds to
+    a repeated vertex once a is below about 1e-8.
+    """
+    b, c = 1.0, 1.0 + a * t
+    x = (a + (b - c) * (b + c) / a) / 2.0
+    return (0.0, 0.0), (a, 0.0), (x, math.sqrt(max(b * b - x * x, 0.0)))
+
+
+def golden_lines(seed: int, degrees: bool = False) -> list[tuple[str, frozenset[str]]]:
+    """About 2,000 seeded batch lines, each with the kinds it cannot be computed in.
+
+    A kind name in a line's set ("a" or "circle") marks a line whose form
+    does not exist at the default eps: a degenerate triangle has no circle
+    form, and a shortest side within eps of zero has no a form.  Every line
+    computes under kinds b and c.  The lines cover every tag: points with 3
+    and 4 points, sides, and angles (in degrees when degrees is set).
+    """
+    rng = random.Random(seed)
+    flat, no_a = frozenset({"circle"}), frozenset({"a", "circle"})
+    lines: list[tuple[str, frozenset[str]]] = []
+
+    def add(line: str, skip: frozenset[str] = frozenset()) -> None:
+        lines.append((line, skip))
+
+    for _ in range(300):
+        add(_golden_points((v.x, v.y) for v in rand_thick_triangle(rng).vertices))
+    for _ in range(200):
+        u, v, w = rand_thick_triangle(rng).vertices
+        sides = [math.dist((p.x, p.y), (q.x, q.y)) for p, q in ((u, v), (u, w), (v, w))]
+        rng.shuffle(sides)
+        add("sides " + " ".join(map(repr, sides)))
+    for _ in range(150):
+        values = list(rand_angles(rng))
+        rng.shuffle(values)
+        add(_golden_angles(values, degrees))
+    for _ in range(50):
+        add(_golden_angles(near_boundary_angles(rng), degrees))
+    # needles with a/c from 1e-8 up, and beyond the default eps (no a form)
+    for _ in range(150):
+        a = 10.0 ** rng.uniform(-8.0, 0.0)
+        t = 0.0 if rng.random() < 0.5 else rng.uniform(-0.9, 0.9)
+        pts = _needle(a, t)
+        add(_golden_points(pts))
+        add("sides " + " ".join(repr(math.dist(p, q)) for p, q in itertools.combinations(pts, 2)))
+    for _ in range(50):
+        a = 10.0 ** rng.uniform(-300.0, -10.0)
+        add(_golden_points(_needle(a, rng.uniform(-0.9, 0.9))), no_a)
+        add(f"sides {a!r} 1.0 1.0", no_a)
+        alpha = 2.0 * math.asin(a / 2.0)
+        add(_golden_angles((alpha, (math.pi - alpha) / 2.0, (math.pi - alpha) / 2.0), degrees), no_a)
+    # near-flat apexes over the unit base: flat up to 1e-10, thick from 1e-8
+    for _ in range(100):
+        x = rng.uniform(0.0, 1.0)
+        if rng.random() < 0.5:
+            add(_golden_points(((0.0, 0.0), (1.0, 0.0), (x, 10.0 ** rng.uniform(-15.0, -10.0)))), flat)
+        else:
+            add(_golden_points(((0.0, 0.0), (1.0, 0.0), (x, 10.0 ** rng.uniform(-8.0, -3.0)))))
+    # near-axis apexes around the right-angle arc
+    for _ in range(100):
+        theta = 10.0 ** rng.uniform(-7.5, -1.0)
+        r = 0.5 + rng.choice((1.0, -1.0)) * 10.0 ** rng.uniform(-12.0, -7.0)
+        add(_golden_points(((0.0, 0.0), (1.0, 0.0), (0.5 + r * math.cos(theta), r * math.sin(theta)))))
+    # scales 2**-1000 and 2**1000 of random triangles; subnormal dyadic ones,
+    # exact at every scale down to 2**-1074
+    for _ in range(100):
+        k = rng.choice((-1000, 1000))
+        add(_golden_points((math.ldexp(v.x, k), math.ldexp(v.y, k)) for v in rand_thick_triangle(rng).vertices))
+    for _ in range(100):
+        while True:
+            pts = [(rng.randrange(-64, 65), rng.randrange(-64, 65)) for _ in range(3)]
+            (x0, y0), (x1, y1), (x2, y2) = pts
+            if (x1 - x0) * (y2 - y0) != (y1 - y0) * (x2 - x0):
+                break
+        k = rng.randrange(-1074, -1020)
+        add(_golden_points((math.ldexp(x, k), math.ldexp(y, k)) for x, y in pts))
+    for _ in range(50):
+        add(_golden_points((v.x, v.y) for v in collinear_triangle(rng).vertices), flat)
+        add(_golden_points((v.x, v.y) for v in repeated_vertex_triangle(rng).vertices), no_a)
+    for sides in ("3 4 5", "1 1 1", "2 1 2"):
+        add(f"sides {sides}")
+    add("sides 1 2 3", flat)
+    for sides in ("0 2 2", "2 0 2", "1e-300 1 1"):
+        add(f"sides {sides}", no_a)
+    for _ in range(300):
+        add(_golden_points((v.x, v.y) for v in rand_quad(rng, special_fraction=0.3).vertices))
+    for _ in range(50):
+        for make in (extreme_tie_quad, lead_tie_quad):
+            add(_golden_points((v.x, v.y) for v in make(rng, 1e-9).vertices))
+    # a quad whose form carries -0.0
+    add(_golden_points(((-0.625, 0.84375), (-0.34375, 0.84375), (0.4375, 0.84375), (0.90625, 0.84375))))
+    add(_golden_points(((-0.34375, 0.84375), (0.4375, 0.84375), (0.90625, 0.84375), (-0.625, 0.84375))))
+    rng.shuffle(lines)
+    return lines
