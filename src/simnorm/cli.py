@@ -261,7 +261,7 @@ def _triangle_record(
     if len(shape) == 3:
         sides = None
         a, b, c = shape
-        xc, yc = _point_from_sides(2, a, b, c)
+        xc, yc = _point_from_sides(2, a, b, c, tol.eps)
     elif len(shape) == 6:
         x0, y0, x1, y1, x2, y2 = shape
         if x0 == x1 == x2 and y0 == y1 == y2:
@@ -297,10 +297,7 @@ def _triangle_record(
     elif sides is not None:
         x, y = _place(sides, rank, tol)
     else:
-        if rank == 0:
-            # the limit a point triangle meets in _place
-            _check_shortest_side(a, c, tol)
-        x, y = _point_from_sides(rank, a, b, c)
+        x, y = _point_from_sides(rank, a, b, c, tol.eps)
     if ang is None:
         return {
             "command": command,
@@ -340,10 +337,6 @@ def _quad_record(command: str, shape: _Shape, tol: Tolerance) -> dict:
     }
 
 
-def _kind_from_args(args) -> FormKind:
-    return FormKind(args.kind) if args.kind is not None else FormKind.C_VERTEX
-
-
 def _batch_shapes(path: str, degrees: bool) -> list[tuple[int, _Shape]]:
     """The numbered shapes of a batch file; blank lines and # comments are skipped."""
     shapes = []
@@ -366,7 +359,7 @@ def _cmd_normalize(args, tol: Tolerance) -> list[dict]:
     else:
         numbered = [(0, _shape_from_args(args))]
     # --kind names the triangle form; a quad always gets the quad form
-    form = _form(_kind_from_args(args))
+    form = _form(FormKind(args.kind))
     degrees = args.degrees
     records = []
     append = records.append
@@ -397,14 +390,14 @@ def _cmd_classify(args, tol: Tolerance) -> list[dict]:
 
 
 def _cmd_convert(args, tol: Tolerance) -> list[dict]:
-    kind = _kind_from_args(args)
+    kind = FormKind(args.kind)
     if args.point is not None:
         p = Point(*_coords(args.point))
         if kind is FormKind.A_VERTEX and in_a_domain(p, tol):
-            # the sides are 1, |p| and |p - 1|; far up the region the angle
-            # at p underflows, so meet the limit of the other routes first
+            # p stands for sides 1, |p| and |p - 1|: decide the form's limit
+            # on them first, as far up the region the angle at p underflows
             c = max(math.hypot(p.x, p.y), math.hypot(p.x - 1.0, p.y))
-            _check_shortest_side(1.0, c, tol)
+            _check_shortest_side(1.0, c, tol.eps)
         try:
             recovered = angles_from_normal_point(kind, p, tol)
         except DegenerateAngles:
@@ -417,9 +410,6 @@ def _cmd_convert(args, tol: Tolerance) -> list[dict]:
                 }
             ]
         s = sides_from_angles(recovered, kind)
-        if kind is FormKind.A_VERTEX:
-            # far up the unbounded region: the limit the other routes meet
-            _check_shortest_side(s.a, s.c, tol)
         return [
             {
                 "command": "convert",
@@ -487,7 +477,7 @@ def _cmd_domains(args, tol: Tolerance) -> list[dict]:
 def _cmd_plot(args, tol: Tolerance) -> list[dict]:
     from .figures import domain_figure, render_svg, with_point, with_triangle
 
-    kind = _kind_from_args(args)
+    kind = FormKind(args.kind)
     record = _triangle_record("plot", _shape_from_args(args), _form(kind), tol, args.degrees)
     fig = domain_figure(kind)
     if kind is FormKind.CIRCLE:
@@ -529,6 +519,9 @@ class _Parser(argparse.ArgumentParser):
         return super()._parse_optional(arg_string)
 
 
+_KINDS = tuple(k.value for k in FormKind)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--eps", type=float, default=1e-9, help="comparison tolerance")
@@ -546,7 +539,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("normalize", parents=[common], help="compute a normal form")
     group = _add_shape_flags(p)
     group.add_argument("--batch", metavar="FILE", help="file of 'tag numbers...' records")
-    p.add_argument("--kind", choices=("a", "b", "c", "circle"), default=None)
+    p.add_argument("--kind", choices=_KINDS, default="c")
     p.set_defaults(func=_cmd_normalize)
 
     p = sub.add_parser("classify", parents=[common], help="angle and side classification")
@@ -555,7 +548,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("convert", parents=[common], help="convert between representations")
     _add_shape_flags(p).add_argument("--point", metavar="X,Y", help="normal point to invert")
-    p.add_argument("--kind", choices=("a", "b", "c", "circle"), default=None)
+    p.add_argument("--kind", choices=_KINDS, default="c")
     p.set_defaults(func=_cmd_convert)
 
     p = sub.add_parser("similar", parents=[common], help="decide similarity of two shapes")
@@ -568,13 +561,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_quad_normalize)
 
     p = sub.add_parser("domains", parents=[common], help="render domain figures to SVG")
-    p.add_argument("--kind", choices=("a", "b", "c", "circle", "all"), default=None)
+    p.add_argument("--kind", choices=(*_KINDS, "all"), default=None)
     p.add_argument("--out", help="output file (directory for --kind all)")
     p.set_defaults(func=_cmd_domains)
 
     p = sub.add_parser("plot", parents=[common], help="domain figure with a shape's normal point")
     _add_shape_flags(p)
-    p.add_argument("--kind", choices=("a", "b", "c", "circle"), default=None)
+    p.add_argument("--kind", choices=_KINDS, default="c")
     p.add_argument("--out", help="output SVG file")
     p.set_defaults(func=_cmd_plot)
 

@@ -12,11 +12,12 @@ reach their angles through the longest-side normal point.
 from __future__ import annotations
 
 import math
-import sys
 
-from .errors import DegenerateAngles, OutOfDomain, UnboundedType
+from .errors import DegenerateAngles, OutOfDomain
 from .geometry import DEFAULT_TOL, Point, Tolerance
-from .triangles import AngleTriple, FormKind, SideLengths, _rank, _sorted3, in_domain
+from .triangles import (
+    AngleTriple, FormKind, SideLengths, _check_shortest_side, _rank, _sorted3, in_domain
+)
 
 def _radicand(a: float, b: float, c: float) -> float:
     # Kahan's factored 16 * area^2 for sorted a <= b <= c; the parentheses
@@ -34,15 +35,15 @@ def normal_point_from_sides(kind: FormKind, s: SideLengths) -> Point:
     factored difference keeps x accurate on needles, and the root, four
     times the area, vanishes exactly on degenerate triples.  The sides are
     first rescaled by an exact power of two that brings c into [1/2, 1), so
-    no square overflows and the result is the same at every scale.  The
-    shortest-side form raises UnboundedType once a/c falls below about
-    2**-511 (1.5e-154), where 2a^2 underflows the normal float range.
+    no square overflows and the result is the same at every scale.  With no
+    tolerance, only the float-range half of the shortest-side form's limit
+    applies: a = 0 or a < 2**-510 * c raises UnboundedType.
     """
-    return Point(*_point_from_sides(_rank(kind), s.a, s.b, s.c))
+    return Point(*_point_from_sides(_rank(kind), s.a, s.b, s.c, 0.0))
 
 
-def _point_from_sides(rank: int, a: float, b: float, c: float) -> tuple[float, float]:
-    """normal_point_from_sides on sorted lengths a <= b <= c of a valid triple, by side rank."""
+def _point_from_sides(rank: int, a: float, b: float, c: float, e: float) -> tuple[float, float]:
+    """normal_point_from_sides by side rank, on a valid sorted triple a <= b <= c, at tolerance e."""
     k = -math.frexp(c)[1]
     sa, sb, sc = math.ldexp(a, k), math.ldexp(b, k), math.ldexp(c, k)
     r = _radicand(sa, sb, sc)
@@ -56,10 +57,9 @@ def _point_from_sides(rank: int, a: float, b: float, c: float) -> tuple[float, f
     elif rank == 1:
         u, d1, d0 = sb, sa, sc
     else:
+        _check_shortest_side(a, c, e)
         u, d1, d0 = sa, sb, sc
     den = 2.0 * u * u
-    if den < sys.float_info.min:
-        raise UnboundedType(f"sides {(a, b, c)!r} have no finite shortest-side form")
     return (u * u + (d0 - d1) * (d0 + d1)) / den, math.sqrt(r) / den
 
 
@@ -134,7 +134,7 @@ def angles_from_sides(s: SideLengths, tol: Tolerance = DEFAULT_TOL) -> AngleTrip
     x-axis are degenerate, as classify judges them, and raise
     DegenerateAngles since no valid angle triple exists for them.
     """
-    angles = _point_angles(*_point_from_sides(2, s.a, s.b, s.c), tol.eps)
+    angles = _point_angles(*_point_from_sides(2, s.a, s.b, s.c, tol.eps), tol.eps)
     if angles is None:
         raise DegenerateAngles(f"sides {(s.a, s.b, s.c)!r} describe a degenerate triangle")
     return AngleTriple(*angles)

@@ -229,9 +229,13 @@ def _side_pass(x0: float, y0: float, x1: float, y1: float, x2: float, y2: float)
         (x0, x1, x2), (y0, y1, y2) = _rescaled([x0, x1, x2], [y0, y1, y2], longest)
 
 
-def _check_shortest_side(a: float, c: float, tol: Tolerance) -> None:
-    """Raise UnboundedType when a <= eps * c: the shortest-side form's limit on every route."""
-    if a <= tol.eps * c:
+def _check_shortest_side(a: float, c: float, e: float) -> None:
+    """Raise UnboundedType when a <= e * c or a < 2**-510 * c: the a form's limit on every route.
+
+    Below 2**-510, 2a^2 of the sides rescaled to c in [1/2, 1) would leave the
+    normal float range; above it, _place's |w| <= c / a <= 2**510 cannot overflow.
+    """
+    if a <= e * c or a < 2.0**-510 * c:
         raise UnboundedType("side lengths of type (0, c, c) have no finite shortest-side form")
 
 
@@ -254,7 +258,7 @@ def _place(sides: _Sides, rank: int, tol: Tolerance) -> tuple[float, float]:
     if rank != 2:
         side = lo = 0 if l01 <= l02 and l01 <= l12 else 1 if l02 <= l12 else 2
         if rank == 0:
-            _check_shortest_side(sides[lo], sides[hi], tol)
+            _check_shortest_side(sides[lo], sides[hi], tol.eps)
         else:
             side = 3 - lo - hi
     if side == 0:
@@ -265,11 +269,7 @@ def _place(sides: _Sides, rank: int, tol: Tolerance) -> tuple[float, float]:
         # z_0 - z_1 is -(z_1 - z_0) exactly
         w = complex(-dx01, -dy01) / complex(dx12, dy12)
     x = w.real
-    y = abs(w.imag)
-    if rank == 0 and not (math.isfinite(x) and math.isfinite(y)):
-        # |w| < c / a, so only an eps below 2**-1024 lets w overflow
-        raise UnboundedType("the shortest-side form of this triangle leaves the float range")
-    return (x if x >= 0.5 else 1.0 - x), y
+    return (x if x >= 0.5 else 1.0 - x), abs(w.imag)
 
 
 def c_normal_point(t: Triangle) -> Point:
@@ -300,8 +300,8 @@ def a_normal_point(t: Triangle, tol: Tolerance = DEFAULT_TOL) -> Point:
 
     The region {y >= 0, x >= 1/2, (x-1)^2 + y^2 >= 1} is unbounded, and the
     side-length type (0, c, c) has no representative in it: the shortest
-    side cannot be dilated to unit length.  Such triangles (shortest side
-    within tol.eps of zero, relative to the longest) raise UnboundedType.
+    side cannot be dilated to unit length.  Such triangles, with shortest
+    side a <= tol.eps * c or a < 2**-510 * c, raise UnboundedType.
     """
     p0, p1, p2 = t.vertices
     x, y = _place(_side_pass(p0.x, p0.y, p1.x, p1.y, p2.x, p2.y), 0, tol)

@@ -214,12 +214,13 @@ def _golden_angles(values, degrees: bool) -> str:
     return "angles " + " ".join(map(repr, values))
 
 
-def _needle(a: float, t: float) -> tuple[tuple[float, float], ...]:
+def needle(a: float, t: float) -> tuple[tuple[float, float], ...]:
     """The triangle with sides (a, 1, 1 + a*t), its short side on the x-axis.
 
-    The apex x comes from the factored difference of squares, so the apex
-    stays off the base vertices for every a: the form 1 - a^2/2 rounds to
-    a repeated vertex once a is below about 1e-8.
+    The apex x comes from the factored difference of squares (b - c)(b + c),
+    which keeps its bits where b^2 - c^2 would cancel.  With the long side
+    on the x-axis instead, the apex at x = 1 - a^2/2 would round onto a
+    base vertex once a is below about 1e-8.
     """
     b, c = 1.0, 1.0 + a * t
     x = (a + (b - c) * (b + c) / a) / 2.0
@@ -259,12 +260,12 @@ def golden_lines(seed: int, degrees: bool = False) -> list[tuple[str, frozenset[
     for _ in range(150):
         a = 10.0 ** rng.uniform(-8.0, 0.0)
         t = 0.0 if rng.random() < 0.5 else rng.uniform(-0.9, 0.9)
-        pts = _needle(a, t)
+        pts = needle(a, t)
         add(_golden_points(pts))
         add("sides " + " ".join(repr(math.dist(p, q)) for p, q in itertools.combinations(pts, 2)))
     for _ in range(50):
         a = 10.0 ** rng.uniform(-300.0, -10.0)
-        add(_golden_points(_needle(a, rng.uniform(-0.9, 0.9))), no_a)
+        add(_golden_points(needle(a, rng.uniform(-0.9, 0.9))), no_a)
         add(f"sides {a!r} 1.0 1.0", no_a)
         alpha = 2.0 * math.asin(a / 2.0)
         add(_golden_angles((alpha, (math.pi - alpha) / 2.0, (math.pi - alpha) / 2.0), degrees), no_a)

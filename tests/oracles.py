@@ -77,7 +77,8 @@ def list_sort_normal_point(t: Triangle, rank: int, tol: Tolerance = DEFAULT_TOL)
     ordering code, so the two must agree bit for bit.
     """
     pairs, v = _list_sorted_pairs(t)
-    if rank == 0 and pairs[0][0] <= tol.eps * pairs[2][0]:
+    a, c = pairs[0][0], pairs[2][0]
+    if rank == 0 and (a <= tol.eps * c or a < 2.0**-510 * c):
         raise UnboundedType("side lengths of type (0, c, c) have no finite shortest-side form")
     _, (i, j) = pairs[rank]
     free = v[3 - i - j]

@@ -14,7 +14,7 @@ import pytest
 
 import simnorm
 from figchecks import check_figure, markers_by_class
-from helpers import rand_angles, rand_quad, rand_triangle
+from helpers import needle, rand_angles, rand_quad, rand_triangle
 from simnorm import (
     AngleTriple,
     DegenerateAngles,
@@ -276,6 +276,13 @@ def test_convert_far_points_get_a_verdict(capsys):
     assert "error: OutOfDomain" in err
 
 
+def test_convert_point_has_no_circle_form(capsys):
+    code, out, err = run(capsys, "convert", "--point", "0.64,0.48", "--kind", "circle")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ValueError: the circle form has no single normal point"), err
+
+
 def test_convert_rejects_quads(capsys):
     code, _, err = run(capsys, "convert", "--points", "0,0", "1,0", "1,1", "0,1")
     assert code == 3
@@ -405,6 +412,44 @@ def test_shortest_side_limit_is_the_same_on_every_route(capsys):
                 assert value == pytest.approx(records[0][key], rel=1e-9), key
             else:
                 assert value == records[0][key], key
+
+
+_ROUTE_EPS = (5e-324, 1e-300, 1e-200, 1e-100, 1e-12, 1e-9, 9.99e-4)
+
+
+def _route_outcome(tag, numbers, form, tol):
+    """The record's name, or the error's, of one triangle line through one form."""
+    try:
+        cli._triangle_record("normalize", cli._shape(tag, numbers, False), form, tol, False)
+    except (GeometryError, ValueError) as exc:
+        return type(exc).__name__
+    return "record"
+
+
+def test_every_route_has_one_outcome_at_every_eps():
+    # needles (a, 1, 1) and (a, 1, 1 + a*t) with a/c down to 1e-300, from
+    # points, from sides and (isosceles only) from angles: the routes agree
+    # on a record or on one error name, whatever eps the shortest-side limit
+    # meets, also below the float-range bound 2**-510
+    rng = random.Random(2602)
+    forms = [cli._form(FormKind(k)) for k in ("a", "b", "c")]
+    tols = [Tolerance(eps) for eps in _ROUTE_EPS]
+    outcomes = set()
+    for _ in range(1000):
+        a = 10.0 ** rng.uniform(-300.0, 0.0)
+        isosceles = rng.random() < 0.5
+        t = 0.0 if isosceles else rng.uniform(-0.9, 0.9)
+        points = [v for p in needle(a, t) for v in p]
+        routes = [("points", points), ("sides", [a, 1.0, 1.0 + a * t])]
+        if isosceles:
+            alpha = 2.0 * math.asin(a / 2.0)
+            routes.append(("angles", [alpha, (math.pi - alpha) / 2.0, (math.pi - alpha) / 2.0]))
+        for form in forms:
+            for tol in tols:
+                seen = {tag: _route_outcome(tag, numbers, form, tol) for tag, numbers in routes}
+                assert len(set(seen.values())) == 1, (a, t, form, tol.eps, seen)
+                outcomes |= set(seen.values())
+    assert outcomes == {"record", "UnboundedType"}
 
 
 def test_shortest_side_limit_holds_for_convert_point(capsys):

@@ -1,11 +1,14 @@
 """The package's export list names each public object once, and every name resolves.
 
 Each module's __all__ lists the public names it defines, and the package
-re-exports their union.
+re-exports their union.  Among the sources, one function raises
+UnboundedType.
 """
 
+import ast
 import importlib
 import inspect
+import pathlib
 
 import simnorm
 
@@ -48,3 +51,34 @@ def test_the_package_exports_the_disjoint_union_of_the_module_lists():
     union = [n for names in lists for n in names]
     assert len(union) == len(set(union)), "a name is listed by two modules"
     assert sorted(simnorm.__all__) == sorted(union + ["__version__"])
+
+
+def _raise_sites(tree: ast.Module, error: str) -> list[str]:
+    """The names of the functions in tree that raise error, once per raise statement."""
+    sites = []
+
+    def visit(node: ast.AST, function: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if isinstance(exc, ast.Name) and exc.id == error:
+                    sites.append(function)
+            visit(child, function)
+
+    visit(tree, "<module>")
+    return sites
+
+
+def test_the_shortest_side_limit_is_raised_in_one_place():
+    # the a form has one limit on every route: a second raise would be a
+    # second limit, free to disagree with the first
+    package = pathlib.Path(simnorm.__file__).parent
+    sites = [
+        f"{path.stem}.{function}"
+        for path in sorted(package.glob("*.py"))
+        for function in _raise_sites(ast.parse(path.read_text(encoding="utf-8")), "UnboundedType")
+    ]
+    assert sites == ["triangles._check_shortest_side"]

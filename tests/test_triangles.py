@@ -443,6 +443,10 @@ def test_shortest_side_form_beyond_float_range_is_unbounded():
     t = tri((0.0, 0.0), (1e-300, 0.0), (1e15, 1.0))
     with pytest.raises(UnboundedType):
         a_normal_point(t, Tolerance(5e-324))
+    # sides (2**-511, 1, 1): below 2**-510 at any eps, as normal_point_from_sides has it
+    t = tri((0.0, 0.0), (2.0**-511, 0.0), (2.0**-512, 1.0))
+    with pytest.raises(UnboundedType):
+        a_normal_point(t, Tolerance(5e-324))
 
 
 def test_extreme_scales_share_the_unit_scale_form():
