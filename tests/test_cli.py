@@ -9,12 +9,13 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 import simnorm
 from figchecks import check_figure, markers_by_class
-from helpers import needle, rand_angles, rand_quad, rand_triangle
+from helpers import golden_lines, needle, rand_angles, rand_quad, rand_triangle
 from simnorm import (
     AngleTriple,
     DegenerateAngles,
@@ -25,6 +26,7 @@ from simnorm import (
     SideLengths,
     Tolerance,
     Triangle,
+    UnboundedType,
     angles_from_normal_point,
     c_normal_point,
     distance,
@@ -791,6 +793,85 @@ def test_batch_errors_keep_their_order_and_messages(tmp_path, capsys, text, code
     assert run(capsys, "normalize", "--batch", str(batch)) == (code, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_batch_file_may_start_with_a_byte_order_mark(tmp_path, capsys, fmt):
+    text = "sides 3 4 5\npoints 0 0 1 0 1 1 0 1\nangles 1 1 1.1415926535897931\n"
+    plain = tmp_path / "plain.txt"
+    plain.write_text(text, encoding="utf-8")
+    marked = tmp_path / "marked.txt"
+    marked.write_text("\ufeff" + text, encoding="utf-8")
+    expected = run(capsys, "normalize", "--batch", str(plain), "--format", fmt)
+    assert expected[0] == 0, expected[2]
+    assert run(capsys, "normalize", "--batch", str(marked), "--format", fmt) == expected
+
+
+def test_byte_order_mark_past_the_first_line_is_an_unknown_tag(tmp_path, capsys):
+    batch = tmp_path / "batch.txt"
+    batch.write_text("sides 3 4 5\n\ufeffsides 3 4 5\n", encoding="utf-8")
+    message = "error: ValueError: line 2: unknown record tag '\\ufeffsides'\n"
+    assert run(capsys, "normalize", "--batch", str(batch)) == (2, "", message)
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_a_batch_peaks_at_about_its_records(tmp_path, monkeypatch, fmt):
+    # each record takes its shape's slot, so no shape outlives its record;
+    # holding every shape beside every record reads about 1.3 here
+    batch = tmp_path / "batch.txt"
+    batch.write_text(_mixed_batch(random.Random(2701), 3000), encoding="utf-8")
+    argv = ["normalize", "--batch", str(batch), "--format", fmt]
+    args = _build_parser().parse_args(argv)
+    tol = Tolerance(args.eps)
+    sink = open(os.devnull, "w", encoding="utf-8")
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        # a first run fills the caches; a full collection empties the free
+        # lists, so that both figures below count every block they use
+        assert main(argv) == 0
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        records = args.func(args, tol)
+        size = tracemalloc.get_traced_memory()[0] - before
+        del records
+        gc.collect()
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+        sink.close()
+    assert peak <= 1.15 * size, (peak, size)
+
+
+def test_degenerate_record_signals_agree():
+    # a one-vertex record is flat in all three of its fields or in none
+    lines = [line.split() for line, _ in golden_lines(2702)]
+    triangles = [(tag, list(map(float, nums))) for tag, *nums in lines if len(nums) != 8]
+    flat = total = 0
+    for kind in ("a", "b", "c"):
+        form = cli._form(FormKind(kind))
+        for eps in (1e-12, 1e-9, 1e-6):
+            tol = Tolerance(eps)
+            for tag, numbers in triangles:
+                shape = cli._shape(tag, numbers, False)
+                try:
+                    record = cli._triangle_record("normalize", shape, form, tol, False)
+                except UnboundedType:
+                    # the skip sets assume the default eps: at a larger one
+                    # more needles have no a form
+                    continue
+                signals = (
+                    record.get("degenerate", False),
+                    "angles" not in record,
+                    record["angle_class"] == "degenerate",
+                )
+                assert signals in ((True, True, True), (False, False, False)), (tag, numbers, kind, eps)
+                flat += signals[0]
+                total += 1
+    assert 0 < flat < total, (flat, total)
+
+
 def test_structured_batch_lines_are_canonical_json(tmp_path, capsys):
     batch = tmp_path / "batch.txt"
     batch.write_text(_mixed_batch(random.Random(1409), 2000), encoding="utf-8")
@@ -1305,3 +1386,23 @@ def test_closed_unbuffered_stdout_exits_4_in_structured_mode(tmp_path):
     assert proc.wait(timeout=60) == 4
     assert err.startswith("error: BrokenPipeError: "), err
     assert "Traceback" not in err
+
+
+def test_closed_stdout_leaves_no_descriptor_open(tmp_path, monkeypatch):
+    batch = tmp_path / "batch.txt"
+    batch.write_text("sides 3 4 5\n", encoding="utf-8")
+
+    def lowest_free_descriptor():
+        fd = os.open(os.devnull, os.O_RDONLY)
+        os.close(fd)
+        return fd
+
+    first = lowest_free_descriptor()
+    for _ in range(3):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w", encoding="utf-8") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            assert main(["normalize", "--batch", str(batch)]) == 4
+            monkeypatch.undo()
+    assert lowest_free_descriptor() == first

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from simnorm import (
-    DEFAULT_TOL,
     ORIGIN,
     UNIT_X,
     DegenerateSegment,
