@@ -18,9 +18,9 @@ at once and a batch holds one object per line at its peak, not a shape
 and a record: on a 30,000-line mixed file the process peaks at 34 MB
 rather than 43.5 MB (structured output, CPython 3.11).  A line is
 split once on whitespace and its numbers read with float; a points line
-stays a flat tuple of floats and a sides line a sorted float triple, and
-only an angles line builds value types (an AngleTriple and the SideLengths
-of sides_from_angles).  Each record layout is one dict literal.
+stays a flat tuple of floats, and a sides or angles line becomes a sorted
+float triple of side lengths, so no line builds a value type.  Each record
+layout is one dict literal.
 
 Exit codes: 0 success, 2 parse or validation error, 3 domain error
 (unbounded type, degenerate input, out-of-domain point, arity mismatch),
@@ -42,29 +42,27 @@ import os
 import sys
 from math import isfinite
 
-from .conversions import (
-    _point_angles,
-    _point_from_sides,
-    angles_from_normal_point,
-    sides_from_angles,
-)
+from .conversions import angles_from_normal_point, sides_from_angles
 from .errors import ArityMismatch, DegenerateAngles, GeometryError, InvalidSides
 from .geometry import Point, Tolerance
 from .quads import Quadrilateral, _in_d_region, _quad_form, _quads_similar
 from .triangles import (
     _IN_REGION,
-    AngleTriple,
     FormKind,
     Triangle,
+    _check_angles,
     _check_shortest_side,
     _check_sides,
+    _circle_vertices,
     _classify,
     _in_c_region,
+    _law_of_sines,
     _place,
+    _point_angles,
+    _point_from_sides,
     _rank,
     _side_pass,
     _sorted3,
-    circle_normal_form,
     in_a_domain,
 )
 
@@ -211,14 +209,13 @@ def _shape(tag: str, numbers: list[float], degrees: bool) -> _Shape:
     if n != 3:
         raise ValueError(f"record {tag!r} takes 3 numbers, got {n}")
     a, b, c = numbers
-    if tag == "sides":
-        a, b, c = _sorted3(a, b, c)
-        _check_sides(a, b, c)
-        return a, b, c
-    if degrees:
-        a, b, c = math.radians(a), math.radians(b), math.radians(c)
-    s = sides_from_angles(AngleTriple(a, b, c))
-    return s.a, s.b, s.c
+    if tag == "angles":
+        if degrees:
+            a, b, c = math.radians(a), math.radians(b), math.radians(c)
+        a, b, c = _law_of_sines(*_check_angles(a, b, c), 2)
+    a, b, c = _sorted3(a, b, c)
+    _check_sides(a, b, c)
+    return a, b, c
 
 
 def _shape_from_args(args, prefix: str = "") -> _Shape:
@@ -265,7 +262,7 @@ def _triangle_record(
     if len(shape) == 3:
         sides = None
         a, b, c = shape
-        xc, yc = _point_from_sides(2, a, b, c, tol.eps)
+        xc, yc = _point_from_sides(2, a, b, c, 0.0)
     elif len(shape) == 6:
         x0, y0, x1, y1, x2, y2 = shape
         if x0 == x1 == x2 and y0 == y1 == y2:
@@ -273,10 +270,10 @@ def _triangle_record(
             Triangle((Point(x0, y0),) * 3)
         sides = _side_pass(x0, y0, x1, y1, x2, y2)
         a, b, c = _sorted3(sides[0], sides[1], sides[2])
-        xc, yc = _place(sides, 2, tol)
+        xc, yc = _place(sides, 2, 0.0)
     else:
         raise ArityMismatch(f"expected a triangle, got {len(shape) // 2} points")
-    cls = _classify(xc, yc, a, b, c, tol)
+    cls = _classify(xc, yc, a, b, c, tol.eps)
     # _value_ is the member's value itself; .value reaches it through a
     # descriptor call on every record
     angle_class = cls.angle_class._value_
@@ -288,9 +285,7 @@ def _triangle_record(
         return {
             "command": command,
             "form_kind": name,
-            "circle_vertices": tuple(
-                (v.x, v.y) for v in circle_normal_form(AngleTriple(*ang)).vertices
-            ),
+            "circle_vertices": _circle_vertices(ang[0], ang[1]),
             "angle_class": angle_class,
             "side_class": side_class,
             "angles": _angles_out(ang, degrees),
@@ -299,7 +294,7 @@ def _triangle_record(
     if rank == 2:
         x, y = xc, yc
     elif sides is not None:
-        x, y = _place(sides, rank, tol)
+        x, y = _place(sides, rank, tol.eps)
     else:
         x, y = _point_from_sides(rank, a, b, c, tol.eps)
     if ang is None:

@@ -6,6 +6,12 @@ form: the three one-vertex forms pin two vertices to (0,0) and (1,0) and
 put the remaining vertex in a closed region of the upper half plane, while
 the circle form inscribes the triangle in the unit circle with one vertex
 fixed at (1,0).
+
+Every computation lives here as a private kernel on plain floats, eps
+included: the side pass and placement from points, the closed form from
+side lengths, the angle reading, the law of sines and the classification.
+The public functions of this module and of conversions unpack their value
+types and call those kernels, and so does the command line.
 """
 
 from __future__ import annotations
@@ -148,6 +154,21 @@ class SideLengths(_Value):
         return (self.a / self.c, self.b / self.c, 1.0)
 
 
+def _check_angles(alpha: float, beta: float, gamma: float) -> tuple[float, float, float]:
+    """The angles sorted ascending; DegenerateAngles unless they are a triangle's."""
+    a, b, c = _sorted3(alpha, beta, gamma)
+    # a valid triple passes one chained test; past it, the checks run in
+    # order and the first that fails names the fault
+    if 0.0 < a and c < math.inf and abs(a + b + c - math.pi) <= _ANGLE_SLACK:
+        return a, b, c
+    for v in (alpha, beta, gamma):
+        if not math.isfinite(v):
+            raise DegenerateAngles(f"angles must be finite, got {v!r}")
+    if a <= 0.0:
+        raise DegenerateAngles(f"smallest angle must be positive, got {a!r}")
+    raise DegenerateAngles(f"angles must sum to pi, got {a + b + c!r}")
+
+
 class AngleTriple(_Value):
     """Interior angles sorted ascending; alpha + beta + gamma = pi.
 
@@ -162,22 +183,24 @@ class AngleTriple(_Value):
     gamma: float
 
     def __init__(self, alpha: float, beta: float, gamma: float) -> None:
-        a, b, c = _sorted3(alpha, beta, gamma)
-        # a valid triple passes one chained test; past it, the checks run in
-        # order and the first that fails names the fault
-        if not (0.0 < a and c < math.inf and abs(a + b + c - math.pi) <= _ANGLE_SLACK):
-            for v in (alpha, beta, gamma):
-                if not math.isfinite(v):
-                    raise DegenerateAngles(f"angles must be finite, got {v!r}")
-            if a <= 0.0:
-                raise DegenerateAngles(f"smallest angle must be positive, got {a!r}")
-            raise DegenerateAngles(f"angles must sum to pi, got {a + b + c!r}")
+        a, b, c = _check_angles(alpha, beta, gamma)
         _set(self, "alpha", a)
         _set(self, "beta", b)
         _set(self, "gamma", c)
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.alpha, self.beta, self.gamma)
+
+
+def _law_of_sines(alpha: float, beta: float, gamma: float, rank: int) -> tuple[float, ...]:
+    """The sides opposite alpha, beta and gamma, scaled so the side of the rank is 1.
+
+    The triple is unsorted and unchecked: callers sort it and pass it to
+    _check_sides, as SideLengths.of does.
+    """
+    sines = (math.sin(alpha), math.sin(beta), math.sin(gamma))
+    unit = sines[rank]
+    return sines[0] / unit, sines[1] / unit, sines[2] / unit
 
 
 def side_lengths(t: Triangle) -> SideLengths:
@@ -193,11 +216,8 @@ def triangle_from_sides(s: SideLengths) -> Triangle:
     is the longest-side normal point scaled by c, so it sits in the closed
     upper half plane and keeps its height on needle-shaped triples.
     """
-    # deferred: conversions imports this module
-    from .conversions import normal_point_from_sides
-
-    p = normal_point_from_sides(FormKind.C_VERTEX, s)
-    return Triangle((ORIGIN, Point(s.c, 0.0), Point(s.c * p.x, s.c * p.y)))
+    x, y = _point_from_sides(2, s.a, s.b, s.c, 0.0)
+    return Triangle((ORIGIN, Point(s.c, 0.0), Point(s.c * x, s.c * y)))
 
 
 _Sides = tuple[float, float, float, float, float, float, float, float, float]
@@ -239,7 +259,7 @@ def _check_shortest_side(a: float, c: float, e: float) -> None:
         raise UnboundedType("side lengths of type (0, c, c) have no finite shortest-side form")
 
 
-def _place(sides: _Sides, rank: int, tol: Tolerance) -> tuple[float, float]:
+def _place(sides: _Sides, rank: int, e: float) -> tuple[float, float]:
     """Closed-form placement behind the three one-vertex forms.
 
     The sides rank in their stable order (0, 1), (0, 2), (1, 2): the
@@ -251,14 +271,15 @@ def _place(sides: _Sides, rank: int, tol: Tolerance) -> tuple[float, float]:
     x-axis, and folding x to max(x, 1 - x) reflects across x = 1/2, which
     swaps the anchor vertices and so makes the endpoint order immaterial.
     Triangles far from unit size come rescaled from _side_pass, so every
-    finite scale gives the same point.
+    finite scale gives the same point.  Only the shortest-side form reads
+    e, the tolerance of its limit; the other two have none and pass 0.0.
     """
     l01, l02, l12, dx01, dy01, dx02, dy02, dx12, dy12 = sides
     side = hi = 2 if l12 >= l01 and l12 >= l02 else 1 if l02 >= l01 else 0
     if rank != 2:
         side = lo = 0 if l01 <= l02 and l01 <= l12 else 1 if l02 <= l12 else 2
         if rank == 0:
-            _check_shortest_side(sides[lo], sides[hi], tol.eps)
+            _check_shortest_side(sides[lo], sides[hi], e)
         else:
             side = 3 - lo - hi
     if side == 0:
@@ -272,6 +293,44 @@ def _place(sides: _Sides, rank: int, tol: Tolerance) -> tuple[float, float]:
     return (x if x >= 0.5 else 1.0 - x), abs(w.imag)
 
 
+def _radicand(a: float, b: float, c: float) -> float:
+    # Kahan's factored 16 * area^2 for sorted a <= b <= c; the parentheses
+    # must stay as written: each factor then carries a relative error of a
+    # few ulps, so needles and nearly flat triples keep their height, and
+    # a zero side against two equal ones cancels exactly
+    return (c + (b + a)) * (a - (c - b)) * (a + (c - b)) * (c + (b - a))
+
+
+def _point_from_sides(rank: int, a: float, b: float, c: float, e: float) -> tuple[float, float]:
+    """The one-vertex normal point of the rank from a valid sorted triple a <= b <= c.
+
+    With u the anchored side and d1 <= d0 the free ones, the point is
+    ((u^2 + (d0 - d1)(d0 + d1)) / (2u^2), sqrt(radicand) / (2u^2)); the
+    factored difference keeps x accurate on needles, and the root, four
+    times the area, vanishes exactly on degenerate triples.  The sides are
+    first rescaled by an exact power of two that brings c into [1/2, 1), so
+    no square overflows and the result is the same at every scale.  Only the
+    shortest-side form reads e, as in _place.
+    """
+    k = -math.frexp(c)[1]
+    sa, sb, sc = math.ldexp(a, k), math.ldexp(b, k), math.ldexp(c, k)
+    r = _radicand(sa, sb, sc)
+    if r < 0.0:
+        # the triple passed _check_sides, whose slack lets a + b fall short
+        # of c by 1e-9 c: such a triple is flat, not invalid
+        r = 0.0
+    # u the anchored side, d1 <= d0 the free ones
+    if rank == 2:
+        u, d1, d0 = sc, sa, sb
+    elif rank == 1:
+        u, d1, d0 = sb, sa, sc
+    else:
+        _check_shortest_side(a, c, e)
+        u, d1, d0 = sa, sb, sc
+    den = 2.0 * u * u
+    return (u * u + (d0 - d1) * (d0 + d1)) / den, math.sqrt(r) / den
+
+
 def c_normal_point(t: Triangle) -> Point:
     """Normal point of the longest-side form.
 
@@ -279,7 +338,7 @@ def c_normal_point(t: Triangle) -> Point:
     in the lens {y >= 0, x >= 1/2, x^2 + y^2 <= 1}.
     """
     p0, p1, p2 = t.vertices
-    x, y = _place(_side_pass(p0.x, p0.y, p1.x, p1.y, p2.x, p2.y), 2, DEFAULT_TOL)
+    x, y = _place(_side_pass(p0.x, p0.y, p1.x, p1.y, p2.x, p2.y), 2, 0.0)
     return Point(x, y)
 
 
@@ -291,7 +350,7 @@ def b_normal_point(t: Triangle) -> Point:
     in {y >= 0, x >= 1/2, x^2 + y^2 >= 1, (x-1)^2 + y^2 <= 1}.
     """
     p0, p1, p2 = t.vertices
-    x, y = _place(_side_pass(p0.x, p0.y, p1.x, p1.y, p2.x, p2.y), 1, DEFAULT_TOL)
+    x, y = _place(_side_pass(p0.x, p0.y, p1.x, p1.y, p2.x, p2.y), 1, 0.0)
     return Point(x, y)
 
 
@@ -304,14 +363,14 @@ def a_normal_point(t: Triangle, tol: Tolerance = DEFAULT_TOL) -> Point:
     side a <= tol.eps * c or a < 2**-510 * c, raise UnboundedType.
     """
     p0, p1, p2 = t.vertices
-    x, y = _place(_side_pass(p0.x, p0.y, p1.x, p1.y, p2.x, p2.y), 0, tol)
+    x, y = _place(_side_pass(p0.x, p0.y, p1.x, p1.y, p2.x, p2.y), 0, tol.eps)
     return Point(x, y)
 
 
 def normal_point(kind: FormKind, t: Triangle, tol: Tolerance = DEFAULT_TOL) -> Point:
     """The one-vertex normal point for the given kind."""
     p0, p1, p2 = t.vertices
-    x, y = _place(_side_pass(p0.x, p0.y, p1.x, p1.y, p2.x, p2.y), _rank(kind), tol)
+    x, y = _place(_side_pass(p0.x, p0.y, p1.x, p1.y, p2.x, p2.y), _rank(kind), tol.eps)
     return Point(x, y)
 
 
@@ -364,10 +423,13 @@ def circle_normal_form(angles: AngleTriple) -> Triangle:
     polar angle -2*alpha below it, so every inscribed angle subtends twice
     itself at the center.  Vertices are returned in (A, B, C) order.
     """
-    alpha, beta, _ = angles.as_tuple()
-    a_vtx = Point(math.cos(2.0 * beta), math.sin(2.0 * beta))
-    b_vtx = Point(math.cos(2.0 * alpha), -math.sin(2.0 * alpha))
-    return Triangle((a_vtx, b_vtx, Point(1.0, 0.0)))
+    return Triangle(tuple(Point(x, y) for x, y in _circle_vertices(angles.alpha, angles.beta)))
+
+
+def _circle_vertices(alpha: float, beta: float) -> tuple[tuple[float, float], ...]:
+    """circle_normal_form's vertices as (x, y) pairs, from the two smallest angles."""
+    a2, b2 = 2.0 * alpha, 2.0 * beta
+    return (math.cos(b2), math.sin(b2)), (math.cos(a2), -math.sin(a2)), (1.0, 0.0)
 
 
 def _vertex_angle(v: Point, p: Point, q: Point) -> float:
@@ -404,9 +466,30 @@ def is_normal_circle_triangle(t: Triangle, tol: Tolerance = DEFAULT_TOL) -> bool
     return alpha <= math.pi / 3.0 + e and alpha - e <= beta <= math.pi / 2.0 - alpha / 2.0 + e
 
 
-def _classify(x: float, y: float, a: float, b: float, c: float, tol: Tolerance) -> TriangleClass:
+def _point_angles(x: float, y: float, e: float) -> tuple[float, float, float] | None:
+    """The interior angles of a normal triangle with third vertex (x, y), sorted ascending.
+
+    None stands for a point within e of the x-axis, a degenerate triangle,
+    so that a batch record tests for one without catching an exception.
+    There is no region check.
+
+    For normal points computed by this package: rounding can leave them a
+    few ulps outside their region, which an eps below 1e-16 detects.  The
+    angles at both anchors and at (x, y) are the same for every form; in the
+    longest-side region off the x-axis they pass AngleTriple's checks.  The
+    angle at (x, y) comes from the cross product |y| and the dot product
+    x(x - 1) + y^2 of the rays to the anchors, not as the complement to pi,
+    which cancels when it is tiny.
+    """
+    if abs(y) <= e:
+        return None
+    return _sorted3(
+        math.atan2(y, x), math.atan2(y, 1.0 - x), math.atan2(abs(y), x * (x - 1.0) + y * y)
+    )
+
+
+def _classify(x: float, y: float, a: float, b: float, c: float, e: float) -> TriangleClass:
     """Classify by the longest-side normal point (x, y) and the sorted side lengths."""
-    e = tol.eps
     residual = (x - 0.5) ** 2 + y * y - 0.25
     if y <= e:
         row = _DEGENERATE_CLASSES
@@ -439,17 +522,17 @@ def classify(t: Triangle, tol: Tolerance = DEFAULT_TOL) -> TriangleClass:
     """
     p0, p1, p2 = t.vertices
     sides = _side_pass(p0.x, p0.y, p1.x, p1.y, p2.x, p2.y)
-    x, y = _place(sides, 2, tol)
+    x, y = _place(sides, 2, 0.0)
     a, b, c = _sorted3(sides[0], sides[1], sides[2])
-    return _classify(x, y, a, b, c, tol)
+    return _classify(x, y, a, b, c, tol.eps)
 
 
 def triangles_similar(t1: Triangle, t2: Triangle, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Similarity test via the longest-side canonical key, compared within tol.eps."""
     p0, p1, p2 = t1.vertices
-    x1, y1 = _place(_side_pass(p0.x, p0.y, p1.x, p1.y, p2.x, p2.y), 2, tol)
+    x1, y1 = _place(_side_pass(p0.x, p0.y, p1.x, p1.y, p2.x, p2.y), 2, 0.0)
     p0, p1, p2 = t2.vertices
-    x2, y2 = _place(_side_pass(p0.x, p0.y, p1.x, p1.y, p2.x, p2.y), 2, tol)
+    x2, y2 = _place(_side_pass(p0.x, p0.y, p1.x, p1.y, p2.x, p2.y), 2, 0.0)
     return abs(x1 - x2) <= tol.eps and abs(y1 - y2) <= tol.eps
 
 

@@ -312,3 +312,58 @@ def golden_lines(seed: int, degrees: bool = False) -> list[tuple[str, frozenset[
     add(_golden_points(((-0.34375, 0.84375), (0.4375, 0.84375), (0.90625, 0.84375), (-0.625, 0.84375))))
     rng.shuffle(lines)
     return lines
+
+
+def _class_boundary_apex(rng: random.Random) -> tuple[float, float]:
+    """The apex (x, y) over the unit base of a triangle near a class boundary.
+
+    Half the apexes lie near the right-angle arc: 1e-8 to pi/2 rad along it
+    from (1, 0), off it by 1e-12 to 1e-7.  The rest lie near the isosceles
+    line x = 1/2, the isosceles arc |p| = 1 or the equilateral apex, by
+    offsets of 1e-13 to 1e-4, or anywhere in the c-form lens.
+    """
+    family = rng.randrange(8)
+    if family < 4:
+        theta = 10.0 ** rng.uniform(-8.0, math.log10(math.pi / 2.0))
+        r = 0.5 + rng.choice((1.0, -1.0)) * 10.0 ** rng.uniform(-12.0, -7.0)
+        return 0.5 + r * math.cos(theta), r * math.sin(theta)
+    offset = rng.choice((1.0, -1.0)) * 10.0 ** rng.uniform(-13.0, -4.0)
+    if family == 4:
+        return 0.5 + offset, 10.0 ** rng.uniform(-6.0, 0.5)
+    if family == 5:
+        phi = rng.uniform(1e-6, math.pi / 3.0)
+        return (1.0 + offset) * math.cos(phi), (1.0 + offset) * math.sin(phi)
+    if family == 6:
+        lift = rng.choice((1.0, -1.0)) * 10.0 ** rng.uniform(-13.0, -4.0)
+        return 0.5 + offset, math.sqrt(3.0) / 2.0 + lift
+    x = rng.uniform(0.5, 1.0)
+    return x, rng.uniform(1e-6, math.sqrt(1.0 - x * x))
+
+
+def class_boundary_lines(rng: random.Random, count: int) -> list[tuple[str, list[float]]]:
+    """Seeded (tag, numbers) batch lines of triangles near the class boundaries.
+
+    Each triangle has a _class_boundary_apex over the unit base and goes
+    down one of the three routes.  A points line carries it through a
+    random similarity with its vertices shuffled; a sides line carries its
+    side lengths, scaled and shuffled; an angles line carries its angles
+    in radians, shuffled, the largest as pi minus the other two.
+    """
+    lines = []
+    for _ in range(count):
+        x, y = _class_boundary_apex(rng)
+        route = rng.choice(("points", "sides", "angles"))
+        if route == "points":
+            g = rand_transform(rng)
+            vertices = [g.apply(Point(*p)) for p in ((0.0, 0.0), (1.0, 0.0), (x, y))]
+            rng.shuffle(vertices)
+            numbers = [c for v in vertices for c in (v.x, v.y)]
+        elif route == "sides":
+            scale = 10.0 ** rng.uniform(-3.0, 3.0)
+            numbers = [scale * math.hypot(x, y), scale * math.hypot(1.0 - x, y), scale]
+        else:
+            alpha, beta = math.atan2(y, x), math.atan2(y, 1.0 - x)
+            numbers = [alpha, beta, math.pi - alpha - beta]
+        rng.shuffle(numbers)
+        lines.append((route, numbers))
+    return lines

@@ -93,7 +93,7 @@ def list_sort_classify(t: Triangle, tol: Tolerance = DEFAULT_TOL) -> TriangleCla
     pairs, _ = _list_sorted_pairs(t)
     a, b, c = (length for length, _ in pairs)
     p = list_sort_normal_point(t, 2)
-    return _classify(p.x, p.y, a, b, c, tol)
+    return _classify(p.x, p.y, a, b, c, tol.eps)
 
 
 def _exact_radicand(a: float, b: float, c: float) -> Fraction:
@@ -346,3 +346,43 @@ def herons_area(a: float, b: float, c: float) -> float:
     """Unsigned triangle area from the side lengths."""
     s = (a + b + c) / 2.0
     return math.sqrt(max(0.0, s * (s - a) * (s - b) * (s - c)))
+
+
+def _angle_gap(p2: Fraction, q2: Fraction, r2: Fraction, area4: Decimal) -> float:
+    """The angle opposite q minus the angle opposite p, sides squared p2 <= q2, r2 the third.
+
+    With 4A four times the area, it is atan2(2 * 4A * (q^2 - p^2),
+    (p^2 + r^2 - q^2)(q^2 + r^2 - p^2) + (4A)^2), both terms to 50 digits,
+    so a gap of 1e-14 keeps all its digits.
+    """
+    num = (q2 - p2) * 2
+    den = (p2 + r2 - q2) * (q2 + r2 - p2)
+    return math.atan2(
+        float(area4 * Decimal(num.numerator) / Decimal(num.denominator)),
+        float(Decimal(den.numerator) / Decimal(den.denominator) + area4 * area4),
+    )
+
+
+def exact_class_gaps(a2: Fraction, b2: Fraction, c2: Fraction) -> tuple[float, ...]:
+    """What the angle and side classes of a triangle bound, from its exact squared sides.
+
+    For squared sides a2 <= b2 <= c2, the angles alpha <= beta <= gamma
+    opposite them and the height y of the longest-side normal point, it is
+    (y, c/a, pi/2 - gamma, beta - alpha, gamma - beta), each evaluated to 50
+    digits and rounded once or passed through one atan2: pi/2 - gamma is
+    atan2(a^2 + b^2 - c^2, 4A) for the area A.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        r16 = 2 * (a2 * b2 + b2 * c2 + c2 * a2) - a2 * a2 - b2 * b2 - c2 * c2
+        area4 = (Decimal(r16.numerator) / Decimal(r16.denominator)).sqrt()
+        c2d = Decimal(c2.numerator) / Decimal(c2.denominator)
+        a2d = Decimal(a2.numerator) / Decimal(a2.denominator)
+        right = a2 + b2 - c2
+        return (
+            float(area4 / (2 * c2d)),
+            float((c2d / a2d).sqrt()),
+            math.atan2(float(Decimal(right.numerator) / Decimal(right.denominator)), float(area4)),
+            _angle_gap(a2, b2, c2, area4),
+            _angle_gap(b2, c2, a2, area4),
+        )

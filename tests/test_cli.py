@@ -10,12 +10,16 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
 import simnorm
 from figchecks import check_figure, markers_by_class
-from helpers import golden_lines, needle, rand_angles, rand_quad, rand_triangle
+from helpers import (
+    class_boundary_lines, golden_lines, needle, rand_angles, rand_quad, rand_triangle
+)
+from oracles import exact_class_gaps
 from simnorm import (
     AngleTriple,
     DegenerateAngles,
@@ -203,13 +207,18 @@ def test_triangle_record_takes_three_side_lengths(capsys, monkeypatch):
 
 def test_point_triangle_record_builds_no_side_lengths(capsys, monkeypatch):
     made = []
-    real_init = SideLengths.__init__
 
-    def counting_init(self, a, b, c):
-        made.append((a, b, c))
-        real_init(self, a, b, c)
+    def counting(cls):
+        real_init = cls.__init__
 
-    monkeypatch.setattr(SideLengths, "__init__", counting_init)
+        def counting_init(self, a, b, c):
+            made.append((cls.__name__, a, b, c))
+            real_init(self, a, b, c)
+
+        monkeypatch.setattr(cls, "__init__", counting_init)
+
+    counting(SideLengths)
+    counting(AngleTriple)
     for kind in ("a", "b", "c", "circle"):
         run_json(capsys, "normalize", "--points", "0,0", "3,0", "0,4", "--kind", kind)
     run_json(capsys, "normalize", "--points", "0,0", "1,0", "2,0")
@@ -217,9 +226,10 @@ def test_point_triangle_record_builds_no_side_lengths(capsys, monkeypatch):
     for kind in ("a", "b", "c", "circle"):
         run_json(capsys, "normalize", "--sides", "3", "4", "5", "--kind", kind)
     assert made == []
-    # the count sees the SideLengths the law of sines builds for an angles line
-    run_json(capsys, "normalize", "--angles", "60", "60", "60", "--degrees")
-    assert made == [(1.0, 1.0, 1.0)]
+    # and an angles line becomes one through the law of sines kernel
+    for kind in ("a", "b", "c", "circle"):
+        run_json(capsys, "normalize", "--angles", "60", "60", "60", "--kind", kind, "--degrees")
+    assert made == []
 
 
 def test_degrees_flag_converts_both_ways(capsys):
@@ -870,6 +880,96 @@ def test_degenerate_record_signals_agree():
                 flat += signals[0]
                 total += 1
     assert 0 < flat < total, (flat, total)
+
+
+# The contract of the class words, with y the height of the c-form point,
+# a <= b <= c the sides and alpha <= beta <= gamma the angles opposite them:
+# a right record has |gamma - pi/2| <= K_RIGHT * eps / y, and an equilateral
+# or isosceles record has its matching angle gap (gamma - alpha for
+# equilateral, the smaller of beta - alpha and gamma - beta for isosceles)
+# at most K_SIDE * eps * c / a.  The residual that _classify compares with
+# eps is (ab/c^2) cos(gamma) and y is (ab/c^2) sin(gamma), so
+# |gamma - pi/2| = atan(|residual| / y): K_RIGHT = 1.  A side gap within
+# eps * c puts sin(gap / 2) within eps * c / a, so the gap is at most
+# 2 * asin(eps * c / a): K_SIDE = 2 to first order.  Both are the tightest
+# constants: the sampled records come within 5% of them.
+K_RIGHT = 1.0
+K_SIDE = 2.0
+
+
+def _class_gaps(tag, numbers):
+    """(y, c/a, pi/2 - gamma, beta - alpha, gamma - beta) of the triangle a batch line names."""
+    if tag == "angles":
+        alpha, beta, gamma = sorted(numbers)
+        sa, sb, sc = math.sin(alpha), math.sin(beta), math.sin(gamma)
+        return sa * sb / sc, sc / sa, math.pi / 2.0 - gamma, beta - alpha, gamma - beta
+    if tag == "sides":
+        return exact_class_gaps(*sorted(Fraction(v) ** 2 for v in numbers))
+    p = [Fraction(v) for v in numbers]
+    squares = [
+        (p[2 * i] - p[2 * j]) ** 2 + (p[2 * i + 1] - p[2 * j + 1]) ** 2
+        for i, j in ((0, 1), (0, 2), (1, 2))
+    ]
+    return exact_class_gaps(*sorted(squares))
+
+
+def test_record_classes_keep_their_angle_bounds():
+    # acute and obtuse records put gamma strictly on their side of pi/2, and
+    # scalene ones have three distinct angles: at these eps, no rounding of
+    # the residual or the side ratios can cross an eps band
+    lines = class_boundary_lines(random.Random(1717), 3000)
+    gaps = [_class_gaps(tag, numbers) for tag, numbers in lines]
+    worst_right = worst_side = 0.0
+    seen = set()
+    for kind in ("a", "b", "c", "circle"):
+        form = cli._form(FormKind(kind))
+        for eps in (1e-12, 1e-9, 1e-6):
+            tol = Tolerance(eps)
+            for (tag, numbers), (y, c_over_a, off_right, low_gap, high_gap) in zip(lines, gaps):
+                shape = cli._shape(tag, numbers, False)
+                try:
+                    record = cli._triangle_record("normalize", shape, form, tol, False)
+                except (UnboundedType, DegenerateAngles):
+                    continue
+                angle_class, side_class = record["angle_class"], record["side_class"]
+                seen.add((angle_class, side_class))
+                if angle_class == "degenerate":
+                    continue
+                where = (tag, numbers, kind, eps)
+                if angle_class == "right":
+                    worst_right = max(worst_right, abs(off_right) * y / eps)
+                elif angle_class == "acute":
+                    assert off_right > 0.0, where
+                else:
+                    assert off_right < 0.0, where
+                if side_class == "equilateral":
+                    worst_side = max(worst_side, (low_gap + high_gap) / (eps * c_over_a))
+                elif side_class == "isosceles":
+                    worst_side = max(worst_side, min(low_gap, high_gap) / (eps * c_over_a))
+                else:
+                    assert low_gap > 0.0 and high_gap > 0.0, where
+    assert 0.95 * K_RIGHT < worst_right <= K_RIGHT, worst_right
+    assert 0.95 * K_SIDE < worst_side <= K_SIDE, worst_side
+    for angle_class in ("acute", "right", "obtuse", "degenerate"):
+        for side_class in ("isosceles", "scalene"):
+            assert (angle_class, side_class) in seen, (angle_class, side_class)
+    assert ("acute", "equilateral") in seen
+
+
+def test_a_right_isosceles_record_can_show_unequal_angles_far_from_90(capsys):
+    # the apex sits 5e-8 over the base: gamma is 1.03 degrees from 90,
+    # within eps / y = 0.02 rad (1.15 degrees), and the angles opposite the
+    # two sides of length about 1 differ by 2.06 degrees, within
+    # 2 * eps * c / a = 0.04 rad (2.29 degrees)
+    args = ("classify", "--points", "0,0", "1,0", "1.0000000009,5e-08")
+    (rec,) = run_json(capsys, *args, "--degrees")
+    assert (rec["angle_class"], rec["side_class"]) == ("right", "isosceles")
+    want = [2.8647889730758033e-06, 88.9687844449702, 91.03121269024085]
+    assert rec["angles"] == pytest.approx(want)
+    numbers = [0.0, 0.0, 1.0, 0.0, 1.0000000009, 5e-08]
+    y, c_over_a, off_right, low_gap, high_gap = _class_gaps("points", numbers)
+    assert abs(off_right) <= K_RIGHT * 1e-9 / y
+    assert min(low_gap, high_gap) <= K_SIDE * 1e-9 * c_over_a
 
 
 def test_structured_batch_lines_are_canonical_json(tmp_path, capsys):

@@ -29,7 +29,7 @@ from simnorm import (
     triangle_from_sides,
 )
 from simnorm.cli import main
-from simnorm.conversions import _point_angles, _radicand
+from simnorm.triangles import _point_angles, _radicand
 
 ONE_POINT_KINDS = (FormKind.C_VERTEX, FormKind.B_VERTEX, FormKind.A_VERTEX)
 

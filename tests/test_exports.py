@@ -2,7 +2,7 @@
 
 Each module's __all__ lists the public names it defines, and the package
 re-exports their union.  Among the sources, one function raises
-UnboundedType.
+UnboundedType, and no library module imports inside a function.
 """
 
 import ast
@@ -82,3 +82,19 @@ def test_the_shortest_side_limit_is_raised_in_one_place():
         for function in _raise_sites(ast.parse(path.read_text(encoding="utf-8")), "UnboundedType")
     ]
     assert sites == ["triangles._check_shortest_side"]
+
+
+def test_no_library_module_imports_inside_a_function():
+    # a deferred import is how an import cycle between two modules hides;
+    # the CLI defers json and figures to keep its start-up short, and is
+    # not a library module
+    package = pathlib.Path(simnorm.__file__).parent
+    deferred = [
+        f"{name}.{function.name}"
+        for name in MODULES
+        for function in ast.walk(ast.parse((package / f"{name}.py").read_text(encoding="utf-8")))
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(function)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert deferred == []
