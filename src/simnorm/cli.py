@@ -42,8 +42,7 @@ import os
 import sys
 from math import isfinite
 
-from .conversions import angles_from_normal_point, sides_from_angles
-from .errors import ArityMismatch, DegenerateAngles, GeometryError, InvalidSides
+from .errors import ArityMismatch, DegenerateAngles, GeometryError, InvalidSides, OutOfDomain
 from .geometry import Point, Tolerance
 from .quads import Quadrilateral, _in_d_region, _quad_form, _quads_similar
 from .triangles import (
@@ -51,7 +50,6 @@ from .triangles import (
     FormKind,
     Triangle,
     _check_angles,
-    _check_shortest_side,
     _check_sides,
     _circle_vertices,
     _classify,
@@ -63,7 +61,6 @@ from .triangles import (
     _rank,
     _side_pass,
     _sorted3,
-    in_a_domain,
 )
 
 
@@ -391,35 +388,20 @@ def _cmd_classify(args, tol: Tolerance) -> list[dict]:
 
 def _cmd_convert(args, tol: Tolerance) -> list[dict]:
     kind = FormKind(args.kind)
-    if args.point is not None:
-        p = Point(*_coords(args.point))
-        if kind is FormKind.A_VERTEX and in_a_domain(p, tol):
-            # p stands for sides 1, |p| and |p - 1|: decide the form's limit
-            # on them first, as far up the region the angle at p underflows
-            c = max(math.hypot(p.x, p.y), math.hypot(p.x - 1.0, p.y))
-            _check_shortest_side(1.0, c, tol.eps)
-        try:
-            recovered = angles_from_normal_point(kind, p, tol)
-        except DegenerateAngles:
-            return [
-                {
-                    "command": "convert",
-                    "form_kind": kind.value,
-                    "normal_point": (p.x, p.y),
-                    "degenerate": True,
-                }
-            ]
-        s = sides_from_angles(recovered, kind)
-        return [
-            {
-                "command": "convert",
-                "form_kind": kind.value,
-                "normal_point": (p.x, p.y),
-                "angles": _angles_out(recovered.as_tuple(), args.degrees),
-                "side_ratios": s.ratios(),
-            }
-        ]
-    return [_triangle_record("convert", _shape_from_args(args), _form(kind), tol, args.degrees)]
+    if args.point is None:
+        return [_triangle_record("convert", _shape_from_args(args), _form(kind), tol, args.degrees)]
+    x, y = _coords(args.point)
+    p = Point(x, y)
+    # the circle form has no normal point: _rank raises its ValueError
+    if not _IN_REGION[_rank(kind)](x, y, tol.eps):
+        raise OutOfDomain(f"{p} is outside the region of the {kind.value!r} form")
+    # p stands for the triangle (0,0), (1,0), p, so its record is that of
+    # normalize --points 0,0 1,0 x,y, the form's limit and degenerate rule included
+    triangle = (0.0, 0.0, 1.0, 0.0, x, y)
+    record = _triangle_record("convert", triangle, _form(kind), tol, args.degrees)
+    keys = ("degenerate",) if "degenerate" in record else ("angles", "side_ratios")
+    picked = _picked(record, keys)
+    return [{"command": "convert", "form_kind": kind.value, "normal_point": (x, y), **picked}]
 
 
 def _cmd_similar(args, tol: Tolerance) -> list[dict]:
@@ -462,7 +444,7 @@ def _cmd_domains(args, tol: Tolerance) -> list[dict]:
     # and importing it at module level slows every other command's start-up
     from .figures import domain_figure, render_svg
 
-    if args.kind is None or args.kind == "all":
+    if args.kind == "all":
         kinds = tuple(FormKind)
         out_dir = args.out if args.out is not None else "."
         paths = [os.path.join(out_dir, f"domain_{k.value}.svg") for k in kinds]
@@ -561,7 +543,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_quad_normalize)
 
     p = sub.add_parser("domains", parents=[common], help="render domain figures to SVG")
-    p.add_argument("--kind", choices=(*_KINDS, "all"), default=None)
+    p.add_argument("--kind", choices=(*_KINDS, "all"), default="all")
     p.add_argument("--out", help="output file (directory for --kind all)")
     p.set_defaults(func=_cmd_domains)
 

@@ -13,7 +13,9 @@ import itertools
 import math
 import random
 
-from simnorm import Point, Quadrilateral, SimilarityTransform, Triangle
+from simnorm import (
+    FormKind, Point, Quadrilateral, SimilarityTransform, Tolerance, Triangle, in_domain
+)
 
 # rejection threshold: |cross| relative to longest side squared
 MIN_THICKNESS = 1e-6
@@ -367,3 +369,70 @@ def class_boundary_lines(rng: random.Random, count: int) -> list[tuple[str, list
         rng.shuffle(numbers)
         lines.append((route, numbers))
     return lines
+
+
+def _region_candidate(rng: random.Random, kind: str, eps: float, family: int) -> tuple[float, float]:
+    """One candidate point of a one-vertex region of the family; see region_points."""
+    if family == 0:
+        # interior: y uniform between the region's floor and ceiling at x
+        if kind == "c":
+            x = rng.uniform(0.5, 1.0)
+            return x, rng.uniform(0.0, 1.0) * math.sqrt(1.0 - x * x)
+        if kind == "b":
+            x = rng.uniform(0.5, 2.0)
+            low = math.sqrt(max(0.0, 1.0 - x * x))
+            return x, low + rng.uniform(0.0, 1.0) * (math.sqrt(1.0 - (x - 1.0) ** 2) - low)
+        x = rng.uniform(0.5, 4.0)
+        return x, math.sqrt(max(0.0, 1.0 - (x - 1.0) ** 2)) + rng.uniform(0.0, 4.0)
+    if family == 1:
+        # near-flat: a height of 10**U(-12, 0) of the region's height at x,
+        # where the region reaches the x-axis; the a region's is taken as x
+        h = 10.0 ** rng.uniform(-12.0, 0.0)
+        if kind == "c":
+            x = rng.uniform(0.5, 1.0)
+            return x, h * math.sqrt(1.0 - x * x)
+        if kind == "b":
+            x = rng.uniform(1.0, 2.0)
+            return x, h * math.sqrt(1.0 - (x - 1.0) ** 2)
+        x = rng.uniform(2.0, 100.0)
+        return x, h * x
+    if family == 2:
+        # the eps margins: x up to eps below 1/2, or y up to eps below 0
+        d = rng.uniform(0.0, 1.0) * eps
+        if rng.random() < 0.5:
+            x = 0.5 - d
+            if kind == "c":
+                return x, rng.uniform(0.0, 1.0) * math.sqrt(1.0 - x * x)
+            if kind == "b":
+                low = math.sqrt(1.0 - eps - x * x)
+                high = math.sqrt(1.0 + eps - (x - 1.0) ** 2)
+                return x, low + rng.uniform(0.0, 1.0) * (high - low)
+            return x, math.sqrt(1.0 - eps - (x - 1.0) ** 2) + rng.uniform(0.0, 4.0)
+        if kind == "c":
+            return rng.uniform(0.5, 1.0), -d
+        if kind == "b":
+            return rng.uniform(1.0, 2.0), -d
+        return rng.uniform(2.0, 100.0), -d
+    # far up the a region, up to y = 1e200
+    return rng.uniform(0.5, 2.0), 10.0 ** rng.uniform(0.0, 200.0)
+
+
+def region_points(rng: random.Random, kind: str, eps: float, count: int) -> list[tuple[float, float]]:
+    """Seeded points (x, y) inside the region of the one-vertex form kind at eps.
+
+    Each family contributes count points: interior points, near-flat ones,
+    points in the eps margins x < 1/2 and y < 0, and for the a form points
+    far up its unbounded region.  A candidate that rounding leaves outside
+    the region is drawn again.
+    """
+    tol = Tolerance(eps)
+    form = FormKind(kind)
+    points = []
+    for family in range(4 if kind == "a" else 3):
+        found = 0
+        while found < count:
+            x, y = _region_candidate(rng, kind, eps, family)
+            if in_domain(form, Point(x, y), tol):
+                points.append((x, y))
+                found += 1
+    return points

@@ -17,7 +17,7 @@ import pytest
 import simnorm
 from figchecks import check_figure, markers_by_class
 from helpers import (
-    class_boundary_lines, golden_lines, needle, rand_angles, rand_quad, rand_triangle
+    class_boundary_lines, golden_lines, needle, rand_angles, rand_quad, rand_triangle, region_points
 )
 from oracles import exact_class_gaps
 from simnorm import (
@@ -467,20 +467,62 @@ def test_every_route_has_one_outcome_at_every_eps():
 def test_shortest_side_limit_holds_for_convert_point(capsys):
     # an a-form point far up its region stands for sides 1, |p|, |p - 1|;
     # convert --point and normalize --sides of those sides agree on the limit,
-    # also where the angle at p underflows (y = 1e200)
+    # also where the angle at p underflows (y = 1e200), and on the ratios
     for y, ok in ((1e200, False), (1e10, False), (1e4, True)):
         sides = ["1", repr(math.hypot(0.5, y)), repr(math.hypot(0.5, y))]
         routes = (["convert", "--point", f"0.5,{y!r}"], ["normalize", "--sides", *sides])
-        for argv in routes:
-            if not ok:
+        if not ok:
+            for argv in routes:
                 code, out, err = run(capsys, *argv, "--kind", "a")
                 assert code == 3, argv
                 assert out == ""
                 assert err.startswith("error: UnboundedType: "), err
-                continue
-            (rec,) = run_json(capsys, *argv, "--kind", "a")
+            continue
+        point_rec, sides_rec = (run_json(capsys, *argv, "--kind", "a")[0] for argv in routes)
+        for rec in (point_rec, sides_rec):
             assert rec["normal_point"] == pytest.approx([0.5, y], rel=1e-12)
-            assert rec["side_ratios"] == pytest.approx([1.0 / y, 1.0, 1.0], rel=1e-7)
+        assert point_rec["side_ratios"] == sides_rec["side_ratios"]
+
+
+def _text_outcome(capsys, *argv):
+    """The exit code, the error name and the text record's fields of one command line."""
+    code, out, err = run(capsys, *argv)
+    if code:
+        assert out == ""
+        return code, err.split(":")[1].strip(), None
+    return code, None, dict(line.split(": ", 1) for line in out.splitlines())
+
+
+def test_convert_point_prints_the_record_of_its_triangle(capsys):
+    # p stands for the triangle (0,0), (1,0), p: convert --point and
+    # normalize --points of that triangle reach one outcome, and on a record
+    # the same angles, side ratios and degenerate flag, bit for bit (text
+    # output writes floats by repr), for interior, near-flat, eps-margin and
+    # far a-form points
+    rng = random.Random(2903)
+    outcomes = set()
+    for kind in ("a", "b", "c"):
+        for eps in (1e-12, 1e-9, 1e-6):
+            for x, y in region_points(rng, kind, eps, 15):
+                flags = ("--kind", kind, "--eps", repr(eps))
+                point = f"{x!r},{y!r}"
+                conv = _text_outcome(capsys, "convert", "--point", point, *flags)
+                norm = _text_outcome(capsys, "normalize", "--points", "0,0", "1,0", point, *flags)
+                where = (kind, eps, point)
+                assert conv[:2] == norm[:2], where
+                if conv[2] is None:
+                    outcomes.add(conv[1])
+                    continue
+                c, n = conv[2], norm[2]
+                assert c["normal_point"] == f"({x!r}, {y!r})", where
+                assert c.get("angles") == n.get("angles"), where
+                assert c.get("degenerate") == n.get("degenerate"), where
+                if "degenerate" in c:
+                    outcomes.add("degenerate")
+                else:
+                    assert c["side_ratios"] == n["side_ratios"], where
+                    outcomes.add("record")
+    assert outcomes == {"record", "degenerate", "UnboundedType"}
 
 
 def test_bad_point_token_exit_code(capsys):
@@ -1191,6 +1233,18 @@ def test_domains_all_kinds(tmp_path, capsys):
         check_figure(kind, svg)
 
 
+def test_domains_default_kind_is_all(tmp_path, capsys):
+    # without --kind, domains writes the four files --kind all writes
+    default, named = tmp_path / "default", tmp_path / "all"
+    assert run(capsys, "domains", "--out", str(default))[0] == 0
+    assert run(capsys, "domains", "--kind", "all", "--out", str(named))[0] == 0
+    names = sorted(path.name for path in named.iterdir())
+    assert names == [f"domain_{kind}.svg" for kind in ("a", "b", "c", "circle")]
+    assert sorted(path.name for path in default.iterdir()) == names
+    for name in names:
+        assert (default / name).read_bytes() == (named / name).read_bytes(), name
+
+
 def test_domains_output_is_deterministic(tmp_path, capsys):
     first = tmp_path / "one.svg"
     second = tmp_path / "two.svg"
@@ -1302,7 +1356,7 @@ LAYOUTS = [
         "form_kind: c\n"
         "normal_point: (0.64, 0.48)\n"
         "angles: (0.6435011087932844, 0.9272952180016122, 1.5707963267948966)\n"
-        "side_ratios: (0.6, 0.7999999999999999, 1.0)\n",
+        "side_ratios: (0.6, 0.8, 1.0)\n",
     ),
     (
         "convert --point 0.75,0 --kind c",

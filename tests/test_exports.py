@@ -2,7 +2,8 @@
 
 Each module's __all__ lists the public names it defines, and the package
 re-exports their union.  Among the sources, one function raises
-UnboundedType, and no library module imports inside a function.
+UnboundedType, no library module imports inside a function, and the CLI
+imports nothing from conversions.
 """
 
 import ast
@@ -98,3 +99,19 @@ def test_no_library_module_imports_inside_a_function():
         if isinstance(node, (ast.Import, ast.ImportFrom))
     ]
     assert deferred == []
+
+
+def test_the_cli_imports_nothing_from_conversions():
+    # every CLI triangle record comes from the float kernels in triangles;
+    # the value-type wrappers in conversions are a second route to the same
+    # numbers, free to disagree in the last bits
+    path = pathlib.Path(simnorm.__file__).parent / "cli.py"
+    # a dotted name per imported name: "conversions.x" for from .conversions
+    # import x, "simnorm.conversions" for from simnorm import conversions
+    imported = [
+        ".".join(filter(None, (getattr(node, "module", None), alias.name)))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+    assert [name for name in imported if "conversions" in name.split(".")] == []
