@@ -6,21 +6,26 @@ a dict of its set fields, in the order command, form_kind, normal_point,
 circle_vertices, quad_c, quad_d, in_domain, angle_class, side_class,
 angles, side_ratios, degenerate, similar, key_a, key_b, outputs.
 Numbers are serialized with repr so 64-bit values round-trip exactly.
-The four JSON layouts a batch writes are each formatted by one f-string,
-any other by json.  Those f-strings quote command, form_kind, angle_class
-and side_class without escaping, safe as the program makes all four.
+In structured output, normalize, convert of a shape and quad-normalize
+print whole records of four layouts: a one-vertex form with angles and
+without them (degenerate), a circle form and a quad.  _triangle_record
+and _quad_record then return the record as its JSON line, formatted by one
+f-string per layout from their own values, and build no dict; any other
+record goes through json.  Those f-strings quote command, form_kind,
+angle_class and side_class without escaping, safe as the program makes
+all four.
 
 normalize --batch runs in three stages, each over the whole file: parse
 every line, then compute every record, then emit them, so an unparsable
 line reports ahead of an earlier one that fails to compute.  Each record
 takes the list slot of the shape it is made from, so that shape is freed
 at once and a batch holds one object per line at its peak, not a shape
-and a record: on a 30,000-line mixed file the process peaks at 34 MB
-rather than 43.5 MB (structured output, CPython 3.11).  A line is
-split once on whitespace and its numbers read with float; a points line
-stays a flat tuple of floats, and a sides or angles line becomes a sorted
-float triple of side lengths, so no line builds a value type.  Each record
-layout is one dict literal.
+and a record.  On a 30,000-line mixed file the process peaks at 27 MB
+with structured output, where a record is one string, and at 34 MB with
+text output, where it is a dict (CPython 3.11).  A line is split once on
+whitespace and its numbers read with float; a points line stays a flat
+tuple of floats, and a sides or angles line becomes a sorted float triple
+of side lengths, so no line builds a value type.
 
 Exit codes: 0 success, 2 parse or validation error, 3 domain error
 (unbounded type, degenerate input, out-of-domain point, arity mismatch),
@@ -81,46 +86,10 @@ def _format_value(value) -> str:
 _GROUP = 64
 _BLOCK = 4096
 
-# the fields of the records a batch writes, in record order: a one-vertex
-# form with angles and without them (degenerate), a quad and a circle form
-_POINT = ("command", "form_kind", "normal_point", "in_domain", "angle_class", "side_class")
-_ANGLES = _POINT + ("angles", "side_ratios")
-_FLAT = _POINT + ("side_ratios", "degenerate")
-_QUAD = ("command", "quad_c", "quad_d", "in_domain")
-_CIRCLE = ("command", "form_kind", "circle_vertices") + _ANGLES[4:]
-
-
-def _json_line(rec: dict) -> str:
-    """The record as json.dumps(rec, sort_keys=True) writes it; see _emit."""
-    keys = tuple(rec)
-    if keys == _ANGLES:
-        cmd, kind, (x, y), dom, ac, sc, (a0, a1, a2), (r0, r1, r2) = rec.values()
-        return (
-            f'{{"angle_class": "{ac}", "angles": [{a0!r}, {a1!r}, {a2!r}], "command": "{cmd}", '
-            f'"form_kind": "{kind}", "in_domain": {"true" if dom else "false"}, "normal_point": '
-            f'[{x!r}, {y!r}], "side_class": "{sc}", "side_ratios": [{r0!r}, {r1!r}, {r2!r}]}}'
-        )
-    if keys == _QUAD:
-        cmd, (cx, cy), (dx, dy), dom = rec.values()
-        return (
-            f'{{"command": "{cmd}", "in_domain": {"true" if dom else "false"}, '
-            f'"quad_c": [{cx!r}, {cy!r}], "quad_d": [{dx!r}, {dy!r}]}}'
-        )
-    if keys == _FLAT:
-        cmd, kind, (x, y), dom, ac, sc, (r0, r1, r2), flat = rec.values()
-        return (
-            f'{{"angle_class": "{ac}", "command": "{cmd}", "degenerate": '
-            f'{"true" if flat else "false"}, "form_kind": "{kind}", "in_domain": '
-            f'{"true" if dom else "false"}, "normal_point": [{x!r}, {y!r}], '
-            f'"side_class": "{sc}", "side_ratios": [{r0!r}, {r1!r}, {r2!r}]}}'
-        )
-    if keys == _CIRCLE:
-        cmd, kind, ((x0, y0), (x1, y1), (x2, y2)), ac, sc, (a0, a1, a2), (r0, r1, r2) = rec.values()
-        return (
-            f'{{"angle_class": "{ac}", "angles": [{a0!r}, {a1!r}, {a2!r}], "circle_vertices": '
-            f'[[{x0!r}, {y0!r}], [{x1!r}, {y1!r}], [{x2!r}, {y2!r}]], "command": "{cmd}", '
-            f'"form_kind": "{kind}", "side_class": "{sc}", "side_ratios": [{r0!r}, {r1!r}, {r2!r}]}}'
-        )
+def _json_line(rec: str | dict) -> str:
+    """A record as a JSON line: the text of a record function as it is, a dict through json."""
+    if type(rec) is str:
+        return rec
     # imported here, so that text output and batches never load json
     import json
 
@@ -132,16 +101,18 @@ def _text_block(rec: dict) -> str:
     return "\n".join([f"{k}: {_format_value(v)}" for k, v in rec.items()])
 
 
-def _emit(records: list[dict], fmt: str) -> None:
+def _emit(records: list[dict | str], fmt: str) -> None:
     """Write the records to stdout, as JSON lines or as blocks of text.
 
-    Each layout a batch writes (a quad, a one-vertex triangle with or without
-    angles, a circle form) is one f-string with its keys in sorted order, repr
-    floats and true/false: what json writes, for less than its encoder's work
-    per record.  The f-strings put command, form_kind, angle_class and
+    In structured output a record that is already its JSON line, as the
+    record functions write the four layouts a batch holds, goes out as it
+    is; each of those is one f-string with its keys in sorted order, repr
+    floats and true/false: what json writes, for less than its encoder's
+    work per record.  The f-strings put command, form_kind, angle_class and
     side_class in quotes unescaped: the program makes those (command names,
-    FormKind and class enum values), all plain ASCII words.  Every other
-    layout, such as one that carries a file name, goes through json.
+    FormKind and class enum values), all plain ASCII words.  A record that
+    is a dict, such as one that carries a file name, goes through json.
+    Text output prints dicts only.
     """
     if fmt == "structured":
         chunk, sep, lead = _json_line, "\n", ""
@@ -245,15 +216,19 @@ def _form(kind: FormKind) -> _Form:
 
 
 def _triangle_record(
-    command: str, shape: _Shape, form: _Form, tol: Tolerance, degrees: bool
-) -> dict:
+    command: str, shape: _Shape, form: _Form, tol: Tolerance, degrees: bool, fmt: str = "text"
+) -> dict | str:
     """The record of a triangle: three side lengths or three vertices.
 
     A point triangle gets its lengths and c point from one side pass, which
     the a and b forms reuse.  The lengths are plain floats on both routes: a
     side triple was checked by _check_sides when it was parsed, and a side
-    pass yields finite, nonnegative lengths.  Each layout is one dict
-    literal, its fields in record order.
+    pass yields finite, nonnegative lengths.
+
+    With fmt "structured" the record is its JSON line, one f-string per
+    layout (see _emit); otherwise it is one dict literal per layout, its
+    fields in record order, which text output prints and the commands that
+    pick fields read.
     """
     name, rank = form
     if len(shape) == 3:
@@ -279,13 +254,24 @@ def _triangle_record(
     if rank is None:
         if ang is None:
             raise DegenerateAngles(f"sides {(a, b, c)!r} describe a degenerate triangle")
+        verts = _circle_vertices(ang[0], ang[1])
+        angles = _angles_out(ang, degrees)
+        if fmt == "structured":
+            (x0, y0), (x1, y1), (x2, y2) = verts
+            a0, a1, a2 = angles
+            return (
+                f'{{"angle_class": "{angle_class}", "angles": [{a0!r}, {a1!r}, {a2!r}], '
+                f'"circle_vertices": [[{x0!r}, {y0!r}], [{x1!r}, {y1!r}], [{x2!r}, {y2!r}]], '
+                f'"command": "{command}", "form_kind": "{name}", "side_class": "{side_class}", '
+                f'"side_ratios": [{a / c!r}, {b / c!r}, 1.0]}}'
+            )
         return {
             "command": command,
             "form_kind": name,
-            "circle_vertices": _circle_vertices(ang[0], ang[1]),
+            "circle_vertices": verts,
             "angle_class": angle_class,
             "side_class": side_class,
-            "angles": _angles_out(ang, degrees),
+            "angles": angles,
             "side_ratios": (a / c, b / c, 1.0),
         }
     if rank == 2:
@@ -294,12 +280,30 @@ def _triangle_record(
         x, y = _place(sides, rank, tol.eps)
     else:
         x, y = _point_from_sides(rank, a, b, c, tol.eps)
+    in_domain = _IN_REGION[rank](x, y, tol.eps)
+    if fmt == "structured":
+        # both layouts end with the fields from form_kind on
+        tail = (
+            f'"form_kind": "{name}", "in_domain": {"true" if in_domain else "false"}, '
+            f'"normal_point": [{x!r}, {y!r}], "side_class": "{side_class}", '
+            f'"side_ratios": [{a / c!r}, {b / c!r}, 1.0]}}'
+        )
+        if ang is None:
+            return (
+                f'{{"angle_class": "{angle_class}", "command": "{command}", "degenerate": true, '
+                f"{tail}"
+            )
+        a0, a1, a2 = _angles_out(ang, degrees)
+        return (
+            f'{{"angle_class": "{angle_class}", "angles": [{a0!r}, {a1!r}, {a2!r}], '
+            f'"command": "{command}", {tail}'
+        )
     if ang is None:
         return {
             "command": command,
             "form_kind": name,
             "normal_point": (x, y),
-            "in_domain": _IN_REGION[rank](x, y, tol.eps),
+            "in_domain": in_domain,
             "angle_class": angle_class,
             "side_class": side_class,
             "side_ratios": (a / c, b / c, 1.0),
@@ -309,7 +313,7 @@ def _triangle_record(
         "command": command,
         "form_kind": name,
         "normal_point": (x, y),
-        "in_domain": _IN_REGION[rank](x, y, tol.eps),
+        "in_domain": in_domain,
         "angle_class": angle_class,
         "side_class": side_class,
         "angles": _angles_out(ang, degrees),
@@ -317,28 +321,35 @@ def _triangle_record(
     }
 
 
-def _quad_record(command: str, shape: _Shape, tol: Tolerance) -> dict:
-    """The record of a quad: its normal form (cx, cy, dx, dy) and region test."""
+def _quad_record(command: str, shape: _Shape, tol: Tolerance, fmt: str = "text") -> dict | str:
+    """The record of a quad: its normal form (cx, cy, dx, dy) and region test.
+
+    fmt picks the record's form, as for _triangle_record.
+    """
     x0, y0, x1, y1, x2, y2, x3, y3 = shape
     if x0 == x1 == x2 == x3 and y0 == y1 == y2 == y3:
         # past the float test, Quadrilateral raises its own error
         Quadrilateral((Point(x0, y0),) * 4)
     e = tol.eps
     cx, cy, dx, dy = _quad_form(x0, y0, x1, y1, x2, y2, x3, y3, e)
-    return {
-        "command": command,
-        "quad_c": (cx, cy),
-        "quad_d": (dx, dy),
-        "in_domain": _in_c_region(cx, cy, e) and _in_d_region(dx, dy, cx, cy, e),
-    }
+    in_domain = _in_c_region(cx, cy, e) and _in_d_region(dx, dy, cx, cy, e)
+    if fmt == "structured":
+        return (
+            f'{{"command": "{command}", "in_domain": {"true" if in_domain else "false"}, '
+            f'"quad_c": [{cx!r}, {cy!r}], "quad_d": [{dx!r}, {dy!r}]}}'
+        )
+    return {"command": command, "quad_c": (cx, cy), "quad_d": (dx, dy), "in_domain": in_domain}
 
 
 def _batch_shapes(path: str, degrees: bool) -> list[tuple[int, _Shape]]:
     """The numbered shapes of a batch file; blank lines and # comments are skipped."""
     shapes = []
     append = shapes.append
-    # utf-8-sig drops a byte-order mark at the start of the file, and only there
-    with open(path, encoding="utf-8-sig") as handle:
+    # utf-8-sig drops a byte-order mark at the start of the file, and only
+    # there; surrogateescape keeps a byte that is not UTF-8 as a lone
+    # surrogate, so that a comment may hold it and any other line fails its
+    # own parse, in file order, rather than the read ahead of it
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as handle:
         for lineno, raw in enumerate(handle, start=1):
             words = raw.split()
             if not words or words[0][0] == "#":
@@ -350,22 +361,22 @@ def _batch_shapes(path: str, degrees: bool) -> list[tuple[int, _Shape]]:
     return shapes
 
 
-def _cmd_normalize(args, tol: Tolerance) -> list[dict]:
+def _cmd_normalize(args, tol: Tolerance) -> list[dict | str]:
     if args.batch is not None:
         numbered = _batch_shapes(args.batch, args.degrees)
     else:
         numbered = [(0, _shape_from_args(args))]
     # --kind names the triangle form; a quad always gets the quad form
     form = _form(FormKind(args.kind))
-    degrees = args.degrees
+    degrees, fmt = args.degrees, args.format
     # each record takes its shape's slot, so the shape is freed as its
     # record is made and a batch peaks at one record per line
     for i, (lineno, shape) in enumerate(numbered):
         try:
             if len(shape) == 8:
-                numbered[i] = _quad_record("normalize", shape, tol)
+                numbered[i] = _quad_record("normalize", shape, tol, fmt)
             else:
-                numbered[i] = _triangle_record("normalize", shape, form, tol, degrees)
+                numbered[i] = _triangle_record("normalize", shape, form, tol, degrees, fmt)
         except (GeometryError, ValueError) as exc:
             if lineno == 0:
                 raise
@@ -386,10 +397,11 @@ def _cmd_classify(args, tol: Tolerance) -> list[dict]:
     return [{"command": "classify", **picked}]
 
 
-def _cmd_convert(args, tol: Tolerance) -> list[dict]:
+def _cmd_convert(args, tol: Tolerance) -> list[dict | str]:
     kind = FormKind(args.kind)
     if args.point is None:
-        return [_triangle_record("convert", _shape_from_args(args), _form(kind), tol, args.degrees)]
+        shape = _shape_from_args(args)
+        return [_triangle_record("convert", shape, _form(kind), tol, args.degrees, args.format)]
     x, y = _coords(args.point)
     p = Point(x, y)
     # the circle form has no normal point: _rank raises its ValueError
@@ -424,11 +436,11 @@ def _cmd_similar(args, tol: Tolerance) -> list[dict]:
     return [{"command": "similar", "similar": verdict, "key_a": key_a, "key_b": key_b}]
 
 
-def _cmd_quad_normalize(args, tol: Tolerance) -> list[dict]:
+def _cmd_quad_normalize(args, tol: Tolerance) -> list[dict | str]:
     shape = _shape_from_args(args)
     if _arity(shape) != 4:
         raise ArityMismatch("quad-normalize needs exactly 4 points")
-    return [_quad_record("quad-normalize", shape, tol)]
+    return [_quad_record("quad-normalize", shape, tol, args.format)]
 
 
 def _write_text(path: str, text: str) -> None:

@@ -864,6 +864,31 @@ def test_byte_order_mark_past_the_first_line_is_an_unknown_tag(tmp_path, capsys)
     assert run(capsys, "normalize", "--batch", str(batch)) == (2, "", message)
 
 
+def test_bytes_that_are_not_utf8_fail_their_own_line(tmp_path, capsys):
+    # the decoder reads ahead, so a bad byte must not fail the read before an earlier line
+    batch = tmp_path / "batch.txt"
+    batch.write_bytes(b"sides 1 2\nsides 3 4 5\npoints 0 0 1 0 \xff,1\n")
+    message = "error: ValueError: line 1: record 'sides' takes 3 numbers, got 2\n"
+    assert run(capsys, "normalize", "--batch", str(batch)) == (2, "", message)
+    batch.write_bytes(b"sides 3 4 5\n# caf\xe9 \xff\nsides 3 4 5\npoints 0 0 1 0 \xff,1\n")
+    message = "error: ValueError: line 4: could not convert string to float: '\\udcff,1'\n"
+    assert run(capsys, "normalize", "--batch", str(batch)) == (2, "", message)
+    batch.write_bytes(b"sides 3 4 5\n\xfe\xffsides 1 1 1\n")
+    message = "error: ValueError: line 2: unknown record tag '\\udcfe\\udcffsides'\n"
+    assert run(capsys, "normalize", "--batch", str(batch)) == (2, "", message)
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_a_comment_line_may_hold_any_bytes(tmp_path, capsys, fmt):
+    plain = tmp_path / "plain.txt"
+    plain.write_bytes(b"sides 3 4 5\npoints 0 0 1 0 1 1 0 1\n")
+    commented = tmp_path / "commented.txt"
+    commented.write_bytes(b"# caf\xe9\nsides 3 4 5\n#\xff\xfe\x80\npoints 0 0 1 0 1 1 0 1\n")
+    expected = run(capsys, "normalize", "--batch", str(plain), "--format", fmt)
+    assert expected[0] == 0, expected[2]
+    assert run(capsys, "normalize", "--batch", str(commented), "--format", fmt) == expected
+
+
 @pytest.mark.parametrize("fmt", ["text", "structured"])
 def test_a_batch_peaks_at_about_its_records(tmp_path, monkeypatch, fmt):
     # each record takes its shape's slot, so no shape outlives its record;
@@ -1131,8 +1156,8 @@ def _flat_coords(points) -> list[float]:
     return [v for p in points for v in (p.x, p.y)]
 
 
-def _templated_records() -> list[dict]:
-    """Batch records of every layout _json_line formats, from the CLI's own builders."""
+def _templated_records(fmt: str) -> list:
+    """Seeded batch records of every layout, in fmt, from the CLI's own record functions."""
     rng = random.Random(2101)
     tol = Tolerance(1e-9)
     # at the smallest eps, rounding leaves some isosceles normal points outside their region
@@ -1150,50 +1175,107 @@ def _templated_records() -> list[dict]:
                 lines.append(("angles", list(map(math.degrees, angles)) if degrees else angles))
             for tag, numbers in lines:
                 shape = cli._shape(tag, numbers, degrees)
-                records.append(cli._triangle_record("normalize", shape, form, tol, degrees))
+                records.append(cli._triangle_record("normalize", shape, form, tol, degrees, fmt))
         for _ in range(20):
             a = rng.uniform(0.5, 2.0)
             c = rng.uniform(a, 1.999 * a)
             for sides in ((a, a, c), (a, c, c)):
-                records.append(cli._triangle_record("convert", sides, form, tight, False))
+                records.append(cli._triangle_record("convert", sides, form, tight, False, fmt))
     for command in ("normalize", "quad-normalize"):
         for _ in range(20):
             shape = tuple(_flat_coords(rand_quad(rng, special_fraction=0.3).vertices))
-            records.append(cli._quad_record(command, shape, tol))
+            records.append(cli._quad_record(command, shape, tol, fmt))
     return records
 
+
+# the fields of the four layouts a batch writes, in record order: a one-vertex
+# form with angles and without them (degenerate), a circle form and a quad
+_ONE_VERTEX = ("command", "form_kind", "normal_point", "in_domain", "angle_class", "side_class")
+_BATCH_LAYOUTS = [
+    _ONE_VERTEX + ("angles", "side_ratios"),
+    _ONE_VERTEX + ("side_ratios", "degenerate"),
+    ("command", "form_kind", "circle_vertices", "angle_class", "side_class", "angles", "side_ratios"),
+    ("command", "quad_c", "quad_d", "in_domain"),
+]
 
 # the floats whose repr differs most in form: signed zero, subnormal, the
 # smallest normal, and each side of repr's switch to and from exponents
 _EDGE_FLOATS = (-0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e-05, 0.0001, 1.7976931348623157e308)
 
 
-def _with_floats(value, floats):
-    """value with each float replaced by the next of floats, and each bool negated."""
-    if isinstance(value, bool):
-        return not value
+def _edge_records(fmt: str, start: int) -> list:
+    """One record of each batch layout in fmt, in _BATCH_LAYOUTS order, its floats edge floats.
+
+    The kernels the record functions call hand out _EDGE_FLOATS in turn,
+    from the one at start on, and the side triple (a, b, 1.0) takes two of
+    them, so the ratios a/c and b/c are edge floats too; only the third
+    ratio stays 1.0.  in_domain is true for an even start.
+    """
+    floats = itertools.cycle(_EDGE_FLOATS[start:] + _EDGE_FLOATS[:start])
+    inside = start % 2 == 0
+    cls = cli._classify(0.64, 0.48, 3.0, 4.0, 5.0, 1e-9)
+    tol = Tolerance(1e-9)
+    records = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_point_from_sides", lambda *args: _take(floats, 2))
+        mp.setattr(cli, "_classify", lambda *args: cls)
+        mp.setattr(cli, "_circle_vertices", lambda *args: tuple(_take(floats, 2) for _ in range(3)))
+        mp.setattr(cli, "_IN_REGION", (lambda *args: inside,) * 3)
+        mp.setattr(cli, "_quad_form", lambda *args: _take(floats, 4))
+        mp.setattr(cli, "_in_c_region", lambda *args: inside)
+        mp.setattr(cli, "_in_d_region", lambda *args: inside)
+        for kind, degenerate in (("c", False), ("b", True), ("circle", False)):
+            angles = (lambda *args: None) if degenerate else (lambda *args: _take(floats, 3))
+            mp.setattr(cli, "_point_angles", angles)
+            sides, form = (next(floats), next(floats), 1.0), cli._form(FormKind(kind))
+            records.append(cli._triangle_record("normalize", sides, form, tol, False, fmt))
+        quad = (0.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0)
+        records.append(cli._quad_record("quad-normalize", quad, tol, fmt))
+    return records
+
+
+def _take(floats, n: int) -> tuple:
+    return tuple(itertools.islice(floats, n))
+
+
+def _floats_of(value) -> list:
+    """The floats of a record field, in order."""
     if isinstance(value, float):
-        return next(floats)
+        return [value]
     if isinstance(value, tuple):
-        return tuple(_with_floats(v, floats) for v in value)
-    return value
+        return [f for v in value for f in _floats_of(v)]
+    return []
 
 
 def test_batch_layouts_are_written_as_json_writes_them(tmp_path, monkeypatch):
-    built = _templated_records()
-    assert {tuple(rec) for rec in built} == {cli._ANGLES, cli._FLAT, cli._QUAD, cli._CIRCLE}
+    built = _templated_records("text")
+    assert {tuple(rec) for rec in built} == set(_BATCH_LAYOUTS)
     assert {rec["in_domain"] for rec in built if "in_domain" in rec} == {True, False}
     assert {rec["form_kind"] for rec in built if "form_kind" in rec} == {"a", "b", "c", "circle"}
-    made = []
-    for rec in {tuple(rec): rec for rec in built}.values():
-        for start in range(len(_EDGE_FLOATS)):
-            floats = itertools.cycle(_EDGE_FLOATS[start:] + _EDGE_FLOATS[:start])
-            made.append({k: _with_floats(v, floats) for k, v in rec.items()})
+    made = [_edge_records("text", start) for start in range(len(_EDGE_FLOATS))]
+    for edge in made:
+        assert [tuple(rec) for rec in edge] == _BATCH_LAYOUTS
+    # every float a layout takes from a kernel or a side length is each edge float in turn
+    edges = set(map(repr, _EDGE_FLOATS))
+    for layout in range(len(_BATCH_LAYOUTS)):
+        values = [[repr(f) for v in edge[layout].values() for f in _floats_of(v)] for edge in made]
+        assert all(set(slot) in ({"1.0"}, edges) for slot in zip(*values)), layout
+        assert {edge[layout].get("in_domain") for edge in made} in ({True, False}, {None})
     encode = json.dumps
     calls = []
     monkeypatch.setattr(json, "dumps", lambda rec, **kw: calls.append(rec) or encode(rec, **kw))
-    for rec in built + made:
-        assert cli._json_line(rec) == encode(rec, sort_keys=True), rec
+    # the record functions write the four layouts as json would, and _emit passes them on
+    pairs = [(built, _templated_records("structured"))]
+    pairs += [(edge, _edge_records("structured", start)) for start, edge in enumerate(made)]
+    lines = []
+    for records, texts in pairs:
+        assert texts == [encode(rec, sort_keys=True) for rec in records]
+        lines += texts
+    recorder = _Recorder()
+    with monkeypatch.context() as mp:
+        mp.setattr(sys, "stdout", recorder)
+        _emit(lines, "structured")
+    assert "".join(recorder.writes) == "".join(line + "\n" for line in lines)
     assert calls == []
     # each other layout, one record per command, goes through json unchanged
     monkeypatch.chdir(tmp_path)
@@ -1207,13 +1289,46 @@ def test_batch_layouts_are_written_as_json_writes_them(tmp_path, monkeypatch):
         "domains --kind c --out c.svg",
         "plot --sides 3 4 5 --out p.svg",
     ):
-        args = _build_parser().parse_args(argv.split())
+        args = _build_parser().parse_args(argv.split() + ["--format", "structured"])
         others.extend(args.func(args, Tolerance(args.eps)))
     for rec in others:
+        assert type(rec) is dict
         calls.clear()
         assert cli._json_line(rec) == encode(rec, sort_keys=True)
         assert calls == [rec]
 
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_structured_records_reach_emit_as_their_json_text(tmp_path, capsys, monkeypatch, fmt):
+    # the commands that print a whole record hand _emit its JSON line in
+    # structured output, and the dict that text output prints otherwise
+    batch = tmp_path / "batch.txt"
+    batch.write_text(_mixed_batch(random.Random(2904), 300), encoding="utf-8")
+    circle = tmp_path / "circle.txt"
+    circle.write_text("sides 2 3 4\npoints 0 0 3 0 0 4\n", encoding="utf-8")
+    handed = []
+    real_emit = cli._emit
+    emit = lambda records, fmt: handed.append(records) or real_emit(records, fmt)
+    monkeypatch.setattr(cli, "_emit", emit)
+    for argv in (
+        f"normalize --batch {batch}",
+        f"normalize --batch {circle} --kind circle",
+        "normalize --sides 2 3 4",
+        "normalize --points 0,0 1,0 2,0 --kind b",
+        "normalize --angles 1 1 1.1415926535897931 --kind circle",
+        "normalize --points 0,0 2,0 3,1 0,1",
+        "convert --sides 3 4 5",
+        "convert --points 0,0 1,0 2,0 --kind a",
+        "convert --sides 2 3 4 --kind circle",
+        "quad-normalize --points 0,0 2,0 3,1 0,1",
+    ):
+        handed.clear()
+        code, out, err = run(capsys, *argv.split(), "--format", fmt)
+        assert code == 0, err
+        (records,) = handed
+        assert records, argv
+        assert {type(rec) for rec in records} == {str if fmt == "structured" else dict}, argv
 
 # file outputs
 
