@@ -613,4 +613,12 @@ def _run(argv: list[str] | None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return _fail(exc, 4)
+    except UnicodeEncodeError as exc:
+        # only an --out file name, written before its record, can hold a
+        # character that stdout's encoding cannot print
+        sys.stderr.write(
+            f"error: UnicodeEncodeError: the output file was written, but stdout's "
+            f"encoding {exc.encoding!r} cannot print its name\n"
+        )
+        return 4
     return 0

@@ -19,8 +19,8 @@ import math
 from .errors import DegenerateAngles, OutOfDomain
 from .geometry import DEFAULT_TOL, Point, Tolerance
 from .triangles import (
-    AngleTriple, FormKind, SideLengths, _law_of_sines, _point_angles, _point_from_sides, _rank,
-    in_domain,
+    AngleTriple, FormKind, SideLengths, _check_shortest_side, _law_of_sines, _point_angles,
+    _point_from_sides, _rank, _side_pass, _sorted3, in_domain,
 )
 
 
@@ -64,13 +64,21 @@ def angles_from_normal_point(
 ) -> AngleTriple:
     """Interior angles of the normal triangle with third vertex p.
 
-    Points on the x-axis (within tol.eps) describe collinear configurations
-    and raise DegenerateAngles, as angles_from_sides does.  atan2 is
-    used throughout: the angle at the anchor (1, 0) is pi minus the ray
-    angle of p seen from it, which stays correct across x = 1.
+    p stands for the triangle (0,0), (1,0), p.  Under the shortest-side
+    form, that triangle's sides meet the form's limit first, as
+    a_normal_point meets it: a shortest side a <= tol.eps * c or
+    a < 2**-510 * c raises UnboundedType.  Points on the x-axis (within
+    tol.eps) describe collinear configurations and raise DegenerateAngles,
+    as angles_from_sides does.  atan2 is used throughout: the angle at the
+    anchor (1, 0) is pi minus the ray angle of p seen from it, which stays
+    correct across x = 1.
     """
     if not in_domain(kind, p, tol):
         raise OutOfDomain(f"{p} is outside the region of the {kind.value!r} form")
+    if kind is FormKind.A_VERTEX:
+        sides = _side_pass(0.0, 0.0, 1.0, 0.0, p.x, p.y)
+        a, _, c = _sorted3(sides[0], sides[1], sides[2])
+        _check_shortest_side(a, c, tol.eps)
     angles = _point_angles(p.x, p.y, tol.eps)
     if angles is None:
         raise DegenerateAngles(f"{p} lies on the x-axis: a degenerate triangle")

@@ -199,7 +199,7 @@ def similarity_from_segment(
 # first brought near unit size by an exact power of two.  Above _TINY, every
 # coordinate difference that matters at 53-bit precision relative to the
 # extreme pair is a normal float; below _HUGE, no difference, distance or sum
-# inside the complex division can overflow.
+# inside the placement's division can overflow.
 _TINY = 2.0**-969
 _HUGE = 2.0**960
 

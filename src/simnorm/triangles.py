@@ -267,12 +267,20 @@ def _place(sides: _Sides, rank: int, e: float) -> tuple[float, float]:
     the side that is neither.  The side of the requested rank (0 shortest,
     2 longest) runs from vertex z_i to z_j; the similarity sending it to
     (0,0)-(1,0) carries the remaining vertex z_k to
-    w = (z_k - z_i) / (z_j - z_i).  Folding y to |y| reflects across the
-    x-axis, and folding x to max(x, 1 - x) reflects across x = 1/2, which
-    swaps the anchor vertices and so makes the endpoint order immaterial.
-    Triangles far from unit size come rescaled from _side_pass, so every
-    finite scale gives the same point.  Only the shortest-side form reads
-    e, the tolerance of its limit; the other two have none and pass 0.0.
+    w = (z_k - z_i) / (z_j - z_i).  That quotient is CPython's complex
+    division (_Py_c_quot, Smith's algorithm: R. L. Smith, CACM 5(8), 1962)
+    written out in floats, bit for bit: it builds no complex object, which
+    saves two complex() constructions per placement, and its steps, fixed in
+    Python, do not depend on how the interpreter's C code was compiled.  A
+    zero divisor raises ZeroDivisionError, as complex division does, but
+    none reaches here: the longest and median sides of a triangle are
+    positive, and _check_shortest_side guards the shortest.  Folding y to
+    |y| reflects across the x-axis, and folding x to max(x, 1 - x) reflects
+    across x = 1/2, which swaps the anchor vertices and so makes the
+    endpoint order immaterial.  Triangles far from unit size come rescaled
+    from _side_pass, so every finite scale gives the same point.  Only the
+    shortest-side form reads e, the tolerance of its limit; the other two
+    have none and pass 0.0.
     """
     l01, l02, l12, dx01, dy01, dx02, dy02, dx12, dy12 = sides
     side = hi = 2 if l12 >= l01 and l12 >= l02 else 1 if l02 >= l01 else 0
@@ -282,15 +290,29 @@ def _place(sides: _Sides, rank: int, e: float) -> tuple[float, float]:
             _check_shortest_side(sides[lo], sides[hi], e)
         else:
             side = 3 - lo - hi
+    # w = (ar + ai i) / (br + bi i)
     if side == 0:
-        w = complex(dx02, dy02) / complex(dx01, dy01)
+        ar, ai = dx02, dy02
+        br, bi = dx01, dy01
     elif side == 1:
-        w = complex(dx01, dy01) / complex(dx02, dy02)
+        ar, ai = dx01, dy01
+        br, bi = dx02, dy02
     else:
         # z_0 - z_1 is -(z_1 - z_0) exactly
-        w = complex(-dx01, -dy01) / complex(dx12, dy12)
-    x = w.real
-    return (x if x >= 0.5 else 1.0 - x), abs(w.imag)
+        ar, ai = -dx01, -dy01
+        br, bi = dx12, dy12
+    # Smith's steps in the order of CPython's _Py_c_quot
+    if abs(br) >= abs(bi):
+        ratio = bi / br
+        den = br + bi * ratio
+        x = (ar + ai * ratio) / den
+        y = (ai - ar * ratio) / den
+    else:
+        ratio = br / bi
+        den = br * ratio + bi
+        x = (ar * ratio + ai) / den
+        y = (ai * ratio - ar) / den
+    return (x if x >= 0.5 else 1.0 - x), abs(y)
 
 
 def _radicand(a: float, b: float, c: float) -> float:

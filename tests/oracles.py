@@ -38,9 +38,9 @@ def pipeline_normal_point(t: Triangle, rank: int) -> Point:
     x-axis starting at the origin, reflects the remaining vertex into the
     upper half plane, dilates the side to unit length, and finally reflects
     across x = 1/2 when needed.  Fitted and applied with cos/sin, it shares
-    no arithmetic with the library's complex-division placement, so it can
-    referee it.  Sides shorter than the absolute eps of
-    similarity_from_segment raise DegenerateSegment.
+    no arithmetic with the library's placement, CPython's complex quotient
+    written out in floats bit for bit, so it can referee it.  Sides shorter
+    than the absolute eps of similarity_from_segment raise DegenerateSegment.
     """
     v = t.vertices
     pairs = sorted((distance(v[i], v[j]), (i, j)) for i, j in ((0, 1), (0, 2), (1, 2)))

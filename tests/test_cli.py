@@ -1675,3 +1675,57 @@ def test_closed_stdout_leaves_no_descriptor_open(tmp_path, monkeypatch):
             assert main(["normalize", "--batch", str(batch)]) == 4
             monkeypatch.undo()
     assert lowest_free_descriptor() == first
+
+
+def _encodes(name: str, codec: str) -> bool:
+    try:
+        name.encode(codec)
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+def test_an_out_name_stdout_cannot_encode_exits_4_without_traceback(tmp_path):
+    # the SVG is written before its record; a text record whose file name
+    # the stdout encoding cannot hold fails with exit 4 and one error line,
+    # while structured output escapes the name; a missing --batch file is
+    # an I/O error under every encoding
+    commands = {
+        "domains": lambda name: ["domains", "--kind", "c", "--out", name],
+        "plot": lambda name: ["plot", "--kind", "b", "--sides", "3", "4", "5", "--out", name],
+        "batch": lambda name: ["normalize", "--batch", "missing-" + name + ".txt"],
+    }
+    names = ("plain.svg", "\u00e9.svg", "d\udcff.svg")
+    runs = [
+        (command, encoding, name, "text")
+        for command in commands
+        for encoding in ("utf-8:strict", "ascii:strict", "latin-1")
+        for name in names
+    ]
+    runs += [("domains", encoding, names[2], "structured") for encoding in ("utf-8:strict", "ascii:strict")]
+    for command, encoding, name, fmt in runs:
+        proc = subprocess.run(
+            [sys.executable, "-m", "simnorm", *commands[command](name), "--format", fmt],
+            capture_output=True,
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONIOENCODING": encoding},
+        )
+        err = proc.stderr.decode("ascii", "backslashreplace")
+        case = (command, encoding, name, fmt, proc.returncode, err)
+        assert proc.returncode in (0, 2, 3, 4), case
+        assert "Traceback" not in err, case
+        if command == "batch":
+            assert proc.returncode == 4 and err.startswith("error: FileNotFoundError: "), case
+            continue
+        assert (tmp_path / name).is_file(), case
+        codec, _, errors = encoding.partition(":")
+        if fmt == "structured" or _encodes(name, codec):
+            assert proc.returncode == 0 and err == "", case
+        elif errors == "strict" or proc.returncode == 4:
+            # with no handler named, the locale picks one: strict, or
+            # surrogateescape in the C locale, which writes the raw byte
+            assert proc.returncode == 4, case
+            assert err == (
+                "error: UnicodeEncodeError: the output file was written, but stdout's "
+                f"encoding {codec!r} cannot print its name\n"
+            ), case

@@ -18,7 +18,9 @@ from simnorm import (
     Point,
     SideLengths,
     Tolerance,
+    Triangle,
     UnboundedType,
+    a_normal_point,
     angles_from_normal_point,
     angles_from_sides,
     c_normal_point,
@@ -198,15 +200,42 @@ def test_angles_from_normal_point_landmarks():
 def test_apex_angle_far_up_the_shortest_side_region():
     # the a-form triangle of p has sides 1, |p| and |p - 1|, and far up the
     # region the apex p carries the smallest angle; as pi minus the two
-    # anchor angles it lost up to 8e-8 of itself at y = 1e10
+    # anchor angles it lost up to 8e-8 of itself at y = 1e10.  The form's
+    # limit 1 <= eps * c stops the points above y = 1e9 at the default eps,
+    # so they are read at an eps under which each of them has a form
+    tol = Tolerance(1e-13)
     rng = random.Random(512)
     points = [(0.5, 1e10), (0.7, 3e6)]
     points += [(rng.uniform(0.5, 3.0), 10.0 ** rng.uniform(3.0, 12.0)) for _ in range(500)]
     for x, y in points:
         b, c = sorted((math.hypot(x, y), math.hypot(x - 1.0, y)))
         want = exact_smallest_angle(1.0, b, c)
-        got = angles_from_normal_point(FormKind.A_VERTEX, Point(x, y)).alpha
+        got = angles_from_normal_point(FormKind.A_VERTEX, Point(x, y), tol).alpha
         assert abs(got - want) <= 1e-14 * want, (x, y)
+
+
+def test_angles_from_a_point_meet_the_form_limit_as_its_triangle_does():
+    # p stands for the triangle (0,0), (1,0), p: under the a form its angles
+    # exist exactly when a_normal_point of that triangle does, at every eps
+    with pytest.raises(UnboundedType):
+        angles_from_normal_point(FormKind.A_VERTEX, Point(0.5, 1e200))
+    rng = random.Random(513)
+    tols = (Tolerance(), Tolerance(1e-15), Tolerance(5e-324))
+    for k in range(3000):
+        tol = tols[k % 3]
+        y = 10.0 ** rng.uniform(0.0, 300.0)
+        x = rng.uniform(0.5, 3.0) if k % 2 else 0.5 + y * rng.uniform(0.0, 2.0)
+        t = Triangle.of(Point(0.0, 0.0), Point(1.0, 0.0), Point(x, y))
+        try:
+            a_normal_point(t, tol)
+            want = "AngleTriple"
+        except UnboundedType:
+            want = "UnboundedType"
+        try:
+            got = type(angles_from_normal_point(FormKind.A_VERTEX, Point(x, y), tol)).__name__
+        except UnboundedType:
+            got = "UnboundedType"
+        assert got == want, (x, y, tol)
 
 
 def test_angles_from_normal_point_degenerate_marker():

@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 from helpers import (
     apply_to_triangle,
     collinear_triangle,
+    needle,
     rand_thick_triangle,
     rand_transform,
     rand_triangle,
@@ -43,12 +44,14 @@ from simnorm import (
     in_a_domain,
     in_b_domain,
     in_c_domain,
+    in_domain,
     is_normal_circle_triangle,
     normal_point,
     side_lengths,
     triangle_from_sides,
     triangles_similar,
 )
+from simnorm import cli, triangles
 from simnorm.triangles import _sorted3
 
 EQUILATERAL = Point(0.5, math.sqrt(3.0) / 2.0)
@@ -362,6 +365,82 @@ def test_normal_point_matches_the_list_sort_oracle():
             want = _outcome(list_sort_normal_point, t, rank)
             assert _outcome(normal_point, kind, t) == want, (t, kind)
         assert repr(classify(t)) == repr(list_sort_classify(t)), t
+
+
+def _placement_cases(rng, count):
+    """count seeded triangles over the whole float range, for the placement pin.
+
+    Random triangles, needles, near-flat triangles of relative height
+    1e-16...1e-1 and small-integer triangles (exact ties, isosceles,
+    repeated vertices, signed zeros), each taken as it is or scaled by 2**k
+    for k in [-1074, 1023], capped so that no coordinate overflows.
+    """
+    small = (-2.0, -1.0, -0.0, 0.0, 1.0, 2.0)
+    cases = []
+    while len(cases) < count:
+        family = len(cases) % 4
+        if family == 0:
+            verts = [(rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0)) for _ in range(3)]
+        elif family == 1:
+            # sides (a, 1, 1 + a t), turned and moved
+            pts = needle(10.0 ** rng.uniform(-15.0, -1.0), rng.random())
+            turn = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+            move = complex(rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0))
+            zs = [complex(x, y) * turn + move for x, y in pts]
+            verts = [(z.real, z.imag) for z in zs]
+        elif family == 2:
+            # the third vertex off the line of the first two by h times their distance
+            (px, py), (qx, qy) = ((rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0)) for _ in "pq")
+            s, h = rng.uniform(-0.5, 1.5), 10.0 ** rng.uniform(-16.0, -1.0)
+            dx, dy = qx - px, qy - py
+            verts = [(px, py), (qx, qy), (px + s * dx - h * dy, py + s * dy + h * dx)]
+        else:
+            verts = [(rng.choice(small), rng.choice(small)) for _ in range(3)]
+        if rng.random() < 0.5:
+            top = math.frexp(max(abs(v) for xy in verts for v in xy))[1]
+            k = min(rng.randint(-1074, 1023), 1024 - top)
+            verts = [(math.ldexp(x, k), math.ldexp(y, k)) for x, y in verts]
+        if not verts[0] == verts[1] == verts[2]:
+            cases.append(tri(*verts))
+    return cases
+
+
+def test_placement_matches_complex_division_bit_for_bit():
+    # the placement writes CPython's complex quotient out in floats; the
+    # oracle divides complex numbers, so every outcome, UnboundedType
+    # included, must be the same to the last bit, across the float range
+    rng = random.Random(431)
+    for t in _placement_cases(rng, 30000):
+        for rank, fn in enumerate((a_normal_point, b_normal_point, c_normal_point)):
+            assert _outcome(fn, t) == _outcome(list_sort_normal_point, t, rank), (t, rank)
+
+
+def test_the_triangle_path_builds_no_complex(monkeypatch, capsys):
+    # the placement divides in plain floats: a complex() call made by any
+    # public triangle function or by a normalize --points record fails here
+    def no_complex(*args):
+        raise AssertionError("complex() called on the triangle path")
+
+    monkeypatch.setattr(triangles, "complex", no_complex, raising=False)
+    unit = tri((0.0, 0.0), (3.0, 0.0), (0.0, 4.0))
+    # rescaled first: its side lengths overflow
+    huge = tri((-1.7e308, 0.0), (1.7e308, 0.0), (0.0, 1e308))
+    kinds = (FormKind.A_VERTEX, FormKind.B_VERTEX, FormKind.C_VERTEX)
+    for t in (unit, huge):
+        for fn in (a_normal_point, b_normal_point, c_normal_point, classify):
+            fn(t)
+        for kind in kinds:
+            p = normal_point(kind, t)
+            assert in_domain(kind, p)
+        assert triangles_similar(t, unit) is (t is unit)
+    assert in_a_domain(EQUILATERAL) and in_b_domain(EQUILATERAL) and in_c_domain(EQUILATERAL)
+    assert side_lengths(unit) == SideLengths(3.0, 4.0, 5.0)
+    triangle_from_sides(SideLengths(3.0, 4.0, 5.0))
+    assert is_normal_circle_triangle(circle_normal_form(AngleTriple(0.5, 1.0, math.pi - 1.5)))
+    for kind in ("a", "b", "c"):
+        argv = ["normalize", "--kind", kind, "--points", "0,0", "3,0", "0,4"]
+        assert cli.main(argv) == 0, kind
+        assert capsys.readouterr().out.startswith("command: normalize\n")
 
 
 def test_triangles_similar_matches_the_list_sort_oracle():
