@@ -36,9 +36,27 @@ def normal_point_from_sides(kind: FormKind, s: SideLengths) -> Point:
     return Point(*_point_from_sides(_rank(kind), s.a, s.b, s.c, 0.0))
 
 
+def _check_shortest_sine(angles: AngleTriple) -> None:
+    """The a form's limit with no tolerance, on the sines: the sides up to scale.
+
+    sin alpha is the shortest side and the larger of sin beta and sin gamma
+    the longest, so sin alpha = 0 or sin alpha < 2**-510 times that raises
+    UnboundedType, as normal_point_from_sides does on the sides.
+    """
+    longest = max(math.sin(angles.beta), math.sin(angles.gamma))
+    _check_shortest_side(math.sin(angles.alpha), longest, 0.0)
+
+
 def sides_from_angles(angles: AngleTriple, kind: FormKind = FormKind.C_VERTEX) -> SideLengths:
-    """Side lengths by the law of sines, scaled so the kind's own side is 1."""
-    return SideLengths.of(*_law_of_sines(angles.alpha, angles.beta, angles.gamma, _rank(kind)))
+    """Side lengths by the law of sines, scaled so the kind's own side is 1.
+
+    Scaled to the shortest side, the triple first meets the no-tolerance
+    half of the a form's limit, as normal_point_from_sides does.
+    """
+    rank = _rank(kind)
+    if rank == 0:
+        _check_shortest_sine(angles)
+    return SideLengths.of(*_law_of_sines(angles.alpha, angles.beta, angles.gamma, rank))
 
 
 def normal_point_from_angles(kind: FormKind, angles: AngleTriple) -> Point:
@@ -50,9 +68,13 @@ def normal_point_from_angles(kind: FormKind, angles: AngleTriple) -> Point:
     anchored one: sin(larger of the two) / sin(angle opposite the anchored
     side).  Evaluating that product directly avoids squared side lengths,
     whose rounding would dominate for needle shaped triples where two sides
-    dwarf the third.
+    dwarf the third.  Under the shortest-side form, the angles first meet
+    the no-tolerance half of the form's limit, as normal_point_from_sides
+    does.
     """
     rank = _rank(kind)
+    if rank == 0:
+        _check_shortest_sine(angles)
     values = angles.as_tuple()
     theta, larger = values[:rank] + values[rank + 1 :]
     radius = math.sin(larger) / math.sin(values[rank])

@@ -110,11 +110,11 @@ def _in_d_region(x: float, y: float, cx: float, cy: float, e: float) -> bool:
 
 def _frame(
     x0: float, y0: float, x1: float, y1: float, x2: float, y2: float, x3: float, y3: float
-) -> tuple[tuple[float, ...], float, tuple[complex, complex, complex, complex]]:
-    """The six pair distances, their maximum and the vertices as complex numbers.
+) -> tuple[tuple[float, ...], float, tuple[float, ...], tuple[float, ...]]:
+    """The six pair distances, their maximum and the coordinates as xs, ys.
 
     The distances come in _PAIR_SPLITS order.  When the largest lies outside
-    [_TINY, _HUGE], all three come from the copy rescaled by one exact power
+    [_TINY, _HUGE], all four come from the copy rescaled by one exact power
     of two.
     """
     hypot = math.hypot
@@ -128,14 +128,38 @@ def _frame(
         d23 = hypot(x3 - x2, y3 - y2)
         d_max = max(d01, d02, d03, d12, d13, d23)
         if _TINY <= d_max <= _HUGE or rescaled:
-            return (
-                (d01, d02, d03, d12, d13, d23),
-                d_max,
-                (complex(x0, y0), complex(x1, y1), complex(x2, y2), complex(x3, y3)),
-            )
+            return (d01, d02, d03, d12, d13, d23), d_max, (x0, x1, x2, x3), (y0, y1, y2, y3)
         # at most one rescale: a capped one can leave the copy outside the band
         rescaled = True
         (x0, x1, x2, x3), (y0, y1, y2, y3) = _rescaled([x0, x1, x2, x3], [y0, y1, y2, y3], d_max)
+
+
+def _carry(
+    br: float, bi: float, ar: float, ai: float, cr: float, ci: float
+) -> tuple[float, float, float, float]:
+    """(ar + ai i) / (br + bi i) and (cr + ci i) / (br + bi i) as four floats.
+
+    Each quotient is CPython's _Py_c_quot (Smith's algorithm: R. L. Smith,
+    CACM 5(8), 1962) written out in floats, bit for bit, with its steps in
+    the same order.  Its ratio and denominator depend only on the divisor,
+    so the two carried points share them.  A zero divisor raises
+    ZeroDivisionError, as CPython's quotient does, but none reaches here:
+    every placed pair lies at or near the largest distance, which is
+    positive.
+    """
+    if abs(br) >= abs(bi):
+        ratio = bi / br
+        den = br + bi * ratio
+        return (
+            (ar + ai * ratio) / den, (ai - ar * ratio) / den,
+            (cr + ci * ratio) / den, (ci - cr * ratio) / den,
+        )
+    ratio = br / bi
+    den = br * ratio + bi
+    return (
+        (ar * ratio + ai) / den, (ai * ratio - ar) / den,
+        (cr * ratio + ci) / den, (ci * ratio - cr) / den,
+    )
 
 
 def normalize_quad(q: Quadrilateral, tol: Tolerance = DEFAULT_TOL) -> QuadNormalForm:
@@ -171,7 +195,7 @@ def _quad_form(
     e: float,
 ) -> tuple[float, float, float, float]:
     """normalize_quad of the vertices (x0, y0) ... (x3, y3) as (cx, cy, dx, dy)."""
-    dists, d_max, z = _frame(x0, y0, x1, y1, x2, y2, x3, y3)
+    dists, d_max, xs, ys = _frame(x0, y0, x1, y1, x2, y2, x3, y3)
     limit = d_max * (1.0 - e)
     low = 0.5 - e
 
@@ -183,10 +207,11 @@ def _quad_form(
         for src, dst in ((i, j), (j, i)):
             # the similarity sending src, dst to the anchors carries p to
             # (p - src) / (dst - src)
-            den = z[dst] - z[src]
-            w1 = (z[k] - z[src]) / den
-            w2 = (z[m] - z[src]) / den
-            u1, v1, u2, v2 = w1.real, w1.imag, w2.real, w2.imag
+            ox = xs[src]
+            oy = ys[src]
+            u1, v1, u2, v2 = _carry(
+                xs[dst] - ox, ys[dst] - oy, xs[k] - ox, ys[k] - oy, xs[m] - ox, ys[m] - oy
+            )
             # the lead claims the c slot; ties admit both orders
             f1 = abs(u1 - 0.5)
             f2 = abs(u2 - 0.5)
@@ -263,23 +288,24 @@ def _quads_similar(
     e: float,
 ) -> bool:
     """quads_similar of the vertices (x0, y0) ... (x3, y3) and (s0, t0) ... (s3, t3)."""
-    dists, d_max, z = _frame(x0, y0, x1, y1, x2, y2, x3, y3)
+    dists, d_max, xs, ys = _frame(x0, y0, x1, y1, x2, y2, x3, y3)
     i, j, k, m = _PAIR_SPLITS[dists.index(d_max)]
-    den = z[j] - z[i]
-    a = (z[k] - z[i]) / den
-    b = (z[m] - z[i]) / den
-    ax, ay, bx, by = a.real, a.imag, b.real, b.imag
+    # the origin of each placement is ox, oy: sx already names 1 - bx
+    ox = xs[i]
+    oy = ys[i]
+    ax, ay, bx, by = _carry(xs[j] - ox, ys[j] - oy, xs[k] - ox, ys[k] - oy, xs[m] - ox, ys[m] - oy)
     rx, sx = 1.0 - ax, 1.0 - bx
 
-    dists, d_max, z = _frame(s0, t0, s1, t1, s2, t2, s3, t3)
+    dists, d_max, xs, ys = _frame(s0, t0, s1, t1, s2, t2, s3, t3)
     limit = d_max * (1.0 - 4.0 * e)
     for (i, j, k, m), dist in zip(_PAIR_SPLITS, dists):
         if dist < limit:
             continue
-        den = z[j] - z[i]
-        u = (z[k] - z[i]) / den
-        v = (z[m] - z[i]) / den
-        ux, uy, vx, vy = u.real, u.imag, v.real, v.imag
+        ox = xs[i]
+        oy = ys[i]
+        ux, uy, vx, vy = _carry(
+            xs[j] - ox, ys[j] - oy, xs[k] - ox, ys[k] - oy, xs[m] - ox, ys[m] - oy
+        )
         # an image of (a, b) in either order: x kept or mirrored, y kept or negated
         if (
             (abs(ux - ax) <= e and abs(vx - bx) <= e or abs(ux - rx) <= e and abs(vx - sx) <= e)

@@ -298,10 +298,12 @@ def quads_similar_eight_images(
 
     It makes the same float comparisons as quads._quads_similar, image by
     image instead of as an x choice and a y choice, so the two must agree
-    on every pair.
+    on every pair.  It shares the library's frame and rescale, but carries
+    the points by dividing complex numbers.
     """
     e = tol.eps
-    dists, d_max, z = quads._frame(*(c for p in q1.vertices for c in (p.x, p.y)))
+    dists, d_max, xs, ys = quads._frame(*(c for p in q1.vertices for c in (p.x, p.y)))
+    z = [complex(x, y) for x, y in zip(xs, ys)]
     i, j, k, m = quads._PAIR_SPLITS[dists.index(d_max)]
     den = z[j] - z[i]
     a = (z[k] - z[i]) / den
@@ -312,7 +314,8 @@ def quads_similar_eight_images(
         (ax, ay, bx, by), (ax, -ay, bx, -by), (rx, ay, sx, by), (rx, -ay, sx, -by),
         (bx, by, ax, ay), (bx, -by, ax, -ay), (sx, by, rx, ay), (sx, -by, rx, -ay),
     )
-    dists, d_max, z = quads._frame(*(c for p in q2.vertices for c in (p.x, p.y)))
+    dists, d_max, xs, ys = quads._frame(*(c for p in q2.vertices for c in (p.x, p.y)))
+    z = [complex(x, y) for x, y in zip(xs, ys)]
     limit = d_max * (1.0 - 4.0 * e)
     for (i, j, k, m), dist in zip(quads._PAIR_SPLITS, dists):
         if dist < limit:

@@ -127,6 +127,29 @@ def test_sides_from_angles_normalizes_the_kind_side():
         sides_from_angles(RIGHT_345, FormKind.CIRCLE)
 
 
+def _outcome(fn, *args):
+    try:
+        fn(*args)
+    except Exception as exc:
+        return type(exc).__name__
+    return "ok"
+
+
+def test_angles_routes_meet_the_a_form_limit_as_the_sides_route_does():
+    # alpha far below 2**-510 has no a form by any route: the angles routes
+    # raise UnboundedType, as the sides route does, instead of returning a
+    # point 1e200 out or failing in Point or SideLengths
+    rng = random.Random(521)
+    alphas = [1e-200, 1e-310] + [10.0 ** rng.uniform(-320.0, -1.0) for _ in range(3000)]
+    for alpha in alphas:
+        b = (math.pi - alpha) / 2.0
+        t = AngleTriple(alpha, b, math.pi - alpha - b)
+        want = _outcome(normal_point_from_sides, FormKind.A_VERTEX, sides_from_angles(t))
+        assert want == ("UnboundedType" if alpha < 2.0**-510 else "ok"), alpha
+        assert _outcome(normal_point_from_angles, FormKind.A_VERTEX, t) == want, alpha
+        assert _outcome(sides_from_angles, t, FormKind.A_VERTEX) == want, alpha
+
+
 def test_angles_from_sides_landmarks():
     got = angles_from_sides(SideLengths.of(3.0, 4.0, 5.0))
     assert got.alpha == pytest.approx(math.asin(0.6), abs=1e-12)

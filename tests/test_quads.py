@@ -279,6 +279,67 @@ def test_normalize_quad_builds_only_the_result_points(monkeypatch):
         assert len(made) == 2
 
 
+def _carry_cases(rng, count):
+    """count seeded sextuples (br, bi, ar, ai, cr, ci) over the whole float range.
+
+    Components come from a pool of random mantissas times 2**k for k in
+    [-1074, 1023], signed zeros and small integers; one case in four draws
+    all six near a shared exponent instead, and one in six ties |br| = |bi|.
+    """
+    ldexp = math.ldexp
+    pool = [ldexp(rng.uniform(-2.0, 2.0), rng.randint(-1074, 1023)) for _ in range(12000)]
+    pool += [0.0, -0.0] * 1000 + [float(n) for n in range(-3, 4)] * 900
+    flat = rng.choices(pool, k=6 * count)
+    cases = [flat[n : n + 6] for n in range(0, 6 * count, 6)]
+    for n in range(0, count, 4):
+        top = rng.randint(-1000, 960)
+        cases[n] = [ldexp(rng.uniform(-2.0, 2.0), top + rng.randint(-60, 60)) for _ in range(6)]
+    for n in range(1, count, 6):
+        cases[n][1] = rng.choice((1.0, -1.0)) * cases[n][0]
+    return cases
+
+
+def _complex_quotients(br, bi, ar, ai, cr, ci):
+    try:
+        w1 = complex(ar, ai) / complex(br, bi)
+        w2 = complex(cr, ci) / complex(br, bi)
+    except (ZeroDivisionError, OverflowError) as exc:
+        return type(exc).__name__
+    return repr((w1.real, w1.imag, w2.real, w2.imag))
+
+
+def test_carried_points_match_complex_division_bit_for_bit():
+    # both carried points share one ratio and denominator, as two complex
+    # divisions by the same divisor do, to the last bit and the sign of zero
+    carry = quads._carry
+    for case in _carry_cases(random.Random(433), 100000):
+        try:
+            got = repr(carry(*case))
+        except (ZeroDivisionError, OverflowError) as exc:
+            got = type(exc).__name__
+        assert got == _complex_quotients(*case), case
+
+
+def test_the_quad_path_builds_no_complex(monkeypatch, capsys):
+    # the placements divide in plain floats: a complex() call made by the
+    # quad form, the similarity test or a quad record fails here
+    def no_complex(*args):
+        raise AssertionError("complex() called on the quad path")
+
+    monkeypatch.setattr(quads, "complex", no_complex, raising=False)
+    # rescaled first: its distances overflow
+    huge = quad((-1.7e308, 0.0), (1.7e308, 0.0), (0.0, 1e308), (0.5e308, -1e308))
+    for q in (UNIT_SQUARE, huge):
+        form = normalize_quad(q)
+        assert in_c_domain(form.c) and in_d_region(form.d, form.c)
+        assert quads_similar(q, q)
+        assert quads_similar(q, UNIT_SQUARE) is (q is UNIT_SQUARE)
+        points = [f"{p.x!r},{p.y!r}" for p in q.vertices]
+        for command in ("quad-normalize", "normalize"):
+            assert cli.main([command, "--points", *points]) == 0, (command, q)
+            assert capsys.readouterr().out.startswith(f"command: {command}\n")
+
+
 def test_doubled_segment_canonical_form():
     q = quad((0.0, 0.0), (2.0, 0.0), (2.0, 0.0), (0.0, 0.0))
     form = normalize_quad(q)
