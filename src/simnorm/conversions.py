@@ -9,7 +9,8 @@ vertical x = 1 where naive arctangent quotients flip sign; side lengths
 reach their angles through the longest-side normal point.
 
 These functions wrap value types around float kernels of the triangles
-module: the closed form, the angle reading and the law of sines.
+module: the closed form, the placement from points, the angle reading and
+the law of sines.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ import math
 from .errors import DegenerateAngles, OutOfDomain
 from .geometry import DEFAULT_TOL, Point, Tolerance
 from .triangles import (
-    AngleTriple, FormKind, SideLengths, _check_shortest_side, _law_of_sines, _point_angles,
-    _point_from_sides, _rank, _side_pass, _sorted3, in_domain,
+    AngleTriple, FormKind, SideLengths, _law_of_sines, _point_angles, _point_from_sides,
+    _point_from_vertices, _rank, in_domain,
 )
 
 
@@ -36,27 +37,13 @@ def normal_point_from_sides(kind: FormKind, s: SideLengths) -> Point:
     return Point(*_point_from_sides(_rank(kind), s.a, s.b, s.c, 0.0))
 
 
-def _check_shortest_sine(angles: AngleTriple) -> None:
-    """The a form's limit with no tolerance, on the sines: the sides up to scale.
-
-    sin alpha is the shortest side and the larger of sin beta and sin gamma
-    the longest, so sin alpha = 0 or sin alpha < 2**-510 times that raises
-    UnboundedType, as normal_point_from_sides does on the sides.
-    """
-    longest = max(math.sin(angles.beta), math.sin(angles.gamma))
-    _check_shortest_side(math.sin(angles.alpha), longest, 0.0)
-
-
 def sides_from_angles(angles: AngleTriple, kind: FormKind = FormKind.C_VERTEX) -> SideLengths:
     """Side lengths by the law of sines, scaled so the kind's own side is 1.
 
     Scaled to the shortest side, the triple first meets the no-tolerance
     half of the a form's limit, as normal_point_from_sides does.
     """
-    rank = _rank(kind)
-    if rank == 0:
-        _check_shortest_sine(angles)
-    return SideLengths.of(*_law_of_sines(angles.alpha, angles.beta, angles.gamma, rank))
+    return SideLengths.of(*_law_of_sines(angles.alpha, angles.beta, angles.gamma, _rank(kind)))
 
 
 def normal_point_from_angles(kind: FormKind, angles: AngleTriple) -> Point:
@@ -66,18 +53,19 @@ def normal_point_from_angles(kind: FormKind, angles: AngleTriple) -> Point:
     to the smaller of the two angles at the ends of the anchored side, at
     the radius the law of sines gives for the longer free side over the
     anchored one: sin(larger of the two) / sin(angle opposite the anchored
-    side).  Evaluating that product directly avoids squared side lengths,
-    whose rounding would dominate for needle shaped triples where two sides
-    dwarf the third.  Under the shortest-side form, the angles first meet
-    the no-tolerance half of the form's limit, as normal_point_from_sides
-    does.
+    side).  That ratio is the law of sines' own, and evaluating it directly
+    avoids squared side lengths, whose rounding would dominate for needle
+    shaped triples where two sides dwarf the third.  Under the shortest-side
+    form, the law of sines first applies the no-tolerance half of the form's
+    limit, as normal_point_from_sides does.
     """
     rank = _rank(kind)
-    if rank == 0:
-        _check_shortest_sine(angles)
-    values = angles.as_tuple()
-    theta, larger = values[:rank] + values[rank + 1 :]
-    radius = math.sin(larger) / math.sin(values[rank])
+    alpha, beta, gamma = angles.as_tuple()
+    sides = _law_of_sines(alpha, beta, gamma, rank)
+    # the free angles in ascending order: theta, then the larger one, whose
+    # opposite side is the longer free side
+    theta = beta if rank == 0 else alpha
+    radius = sides[1] if rank == 2 else sides[2]
     return Point(radius * math.cos(theta), radius * math.sin(theta))
 
 
@@ -98,9 +86,8 @@ def angles_from_normal_point(
     if not in_domain(kind, p, tol):
         raise OutOfDomain(f"{p} is outside the region of the {kind.value!r} form")
     if kind is FormKind.A_VERTEX:
-        sides = _side_pass(0.0, 0.0, 1.0, 0.0, p.x, p.y)
-        a, _, c = _sorted3(sides[0], sides[1], sides[2])
-        _check_shortest_side(a, c, tol.eps)
+        # the placement meets the limit; the point it returns is not needed
+        _point_from_vertices(0.0, 0.0, 1.0, 0.0, p.x, p.y, 0, tol.eps)
     angles = _point_angles(p.x, p.y, tol.eps)
     if angles is None:
         raise DegenerateAngles(f"{p} lies on the x-axis: a degenerate triangle")

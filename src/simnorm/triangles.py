@@ -8,8 +8,9 @@ the circle form inscribes the triangle in the unit circle with one vertex
 fixed at (1,0).
 
 Every computation lives here as a private kernel on plain floats, eps
-included: the side pass and placement from points, the closed form from
-side lengths, the angle reading, the law of sines and the classification.
+included: the side pass and placement from points, also fused into one
+frame for the calls that want one point, the closed form from side
+lengths, the angle reading, the law of sines and the classification.
 The public functions of this module and of conversions unpack their value
 types and call those kernels, and so does the command line.
 """
@@ -195,10 +196,16 @@ class AngleTriple(_Value):
 def _law_of_sines(alpha: float, beta: float, gamma: float, rank: int) -> tuple[float, ...]:
     """The sides opposite alpha, beta and gamma, scaled so the side of the rank is 1.
 
-    The triple is unsorted and unchecked: callers sort it and pass it to
-    _check_sides, as SideLengths.of does.
+    The angles come sorted ascending.  Scaled to the shortest side, rank 0,
+    the sines first meet the a form's limit with no tolerance: sin alpha is
+    the shortest side and the larger of sin beta and sin gamma the longest,
+    so sin alpha = 0 or sin alpha < 2**-510 times that raises UnboundedType,
+    as the sides route does.  The result is unsorted and unchecked: callers
+    sort it and pass it to _check_sides, as SideLengths.of does.
     """
     sines = (math.sin(alpha), math.sin(beta), math.sin(gamma))
+    if rank == 0:
+        _check_shortest_side(sines[0], max(sines[1], sines[2]), 0.0)
     unit = sines[rank]
     return sines[0] / unit, sines[1] / unit, sines[2] / unit
 
@@ -230,6 +237,11 @@ def _side_pass(x0: float, y0: float, x1: float, y1: float, x2: float, y2: float)
     and z2 - z1 as (dx, dy) pairs.  When the longest side lies outside
     [2**-969, 2**960], the vertices are first rescaled by one exact power of
     two, and the sides are those of the rescaled copy.
+
+    With _place, this is the route of the callers that read the lengths and
+    place up to two points from one pass: classify and the CLI's triangle
+    record.  A caller that wants one point calls _point_from_vertices, the
+    same steps in one frame.
     """
     rescaled = False
     while True:
@@ -281,6 +293,11 @@ def _place(sides: _Sides, rank: int, e: float) -> tuple[float, float]:
     from _side_pass, so every finite scale gives the same point.  Only the
     shortest-side form reads e, the tolerance of its limit; the other two
     have none and pass 0.0.
+
+    _point_from_vertices repeats these steps after its own side pass, in one
+    frame, for the callers that want one point; this split keeps that hot
+    path free of the nine-float hand-off, and a test holds the two equal bit
+    for bit, UnboundedType included.
     """
     l01, l02, l12, dx01, dy01, dx02, dy02, dx12, dy12 = sides
     side = hi = 2 if l12 >= l01 and l12 >= l02 else 1 if l02 >= l01 else 0
@@ -302,6 +319,77 @@ def _place(sides: _Sides, rank: int, e: float) -> tuple[float, float]:
         ar, ai = -dx01, -dy01
         br, bi = dx12, dy12
     # Smith's steps in the order of CPython's _Py_c_quot
+    if abs(br) >= abs(bi):
+        ratio = bi / br
+        den = br + bi * ratio
+        x = (ar + ai * ratio) / den
+        y = (ai - ar * ratio) / den
+    else:
+        ratio = br / bi
+        den = br * ratio + bi
+        x = (ar * ratio + ai) / den
+        y = (ai * ratio - ar) / den
+    return (x if x >= 0.5 else 1.0 - x), abs(y)
+
+
+def _point_from_vertices(
+    x0: float, y0: float, x1: float, y1: float, x2: float, y2: float, rank: int, e: float
+) -> tuple[float, float]:
+    """_place(_side_pass(x0, y0, x1, y1, x2, y2), rank, e) in one frame, bit for bit.
+
+    The route of every caller that wants one point: the three one-vertex
+    forms, normal_point, both triangles of triangles_similar and the a
+    form's limit in conversions.angles_from_normal_point.  The steps are
+    those of the two kernels, with no tuple between them: the side pass,
+    rescaled at most once, the first-minimum and last-maximum side choice
+    with _check_shortest_side under the shortest-side form, Smith's
+    quotient in _Py_c_quot's order and the fold.
+    """
+    hypot = math.hypot
+    rescaled = False
+    while True:
+        dx01, dy01 = x1 - x0, y1 - y0
+        dx02, dy02 = x2 - x0, y2 - y0
+        dx12, dy12 = x2 - x1, y2 - y1
+        l01 = hypot(dx01, dy01)
+        l02 = hypot(dx02, dy02)
+        l12 = hypot(dx12, dy12)
+        # the last maximum; every tie has one value, so it is the longest too
+        if l12 >= l01 and l12 >= l02:
+            side = hi = 2
+            longest = l12
+        elif l02 >= l01:
+            side = hi = 1
+            longest = l02
+        else:
+            side = hi = 0
+            longest = l01
+        if _TINY <= longest <= _HUGE or rescaled:
+            break
+        rescaled = True
+        (x0, x1, x2), (y0, y1, y2) = _rescaled([x0, x1, x2], [y0, y1, y2], longest)
+    if rank != 2:
+        # the first minimum
+        if l01 <= l02 and l01 <= l12:
+            side = lo = 0
+        elif l02 <= l12:
+            side = lo = 1
+        else:
+            side = lo = 2
+        if rank == 0:
+            _check_shortest_side(l01 if lo == 0 else l02 if lo == 1 else l12, longest, e)
+        else:
+            side = 3 - lo - hi
+    # w = (ar + ai i) / (br + bi i), as in _place
+    if side == 0:
+        ar, ai = dx02, dy02
+        br, bi = dx01, dy01
+    elif side == 1:
+        ar, ai = dx01, dy01
+        br, bi = dx02, dy02
+    else:
+        ar, ai = -dx01, -dy01
+        br, bi = dx12, dy12
     if abs(br) >= abs(bi):
         ratio = bi / br
         den = br + bi * ratio
@@ -360,7 +448,7 @@ def c_normal_point(t: Triangle) -> Point:
     in the lens {y >= 0, x >= 1/2, x^2 + y^2 <= 1}.
     """
     p0, p1, p2 = t.vertices
-    x, y = _place(_side_pass(p0.x, p0.y, p1.x, p1.y, p2.x, p2.y), 2, 0.0)
+    x, y = _point_from_vertices(p0.x, p0.y, p1.x, p1.y, p2.x, p2.y, 2, 0.0)
     return Point(x, y)
 
 
@@ -372,7 +460,7 @@ def b_normal_point(t: Triangle) -> Point:
     in {y >= 0, x >= 1/2, x^2 + y^2 >= 1, (x-1)^2 + y^2 <= 1}.
     """
     p0, p1, p2 = t.vertices
-    x, y = _place(_side_pass(p0.x, p0.y, p1.x, p1.y, p2.x, p2.y), 1, 0.0)
+    x, y = _point_from_vertices(p0.x, p0.y, p1.x, p1.y, p2.x, p2.y, 1, 0.0)
     return Point(x, y)
 
 
@@ -385,14 +473,14 @@ def a_normal_point(t: Triangle, tol: Tolerance = DEFAULT_TOL) -> Point:
     side a <= tol.eps * c or a < 2**-510 * c, raise UnboundedType.
     """
     p0, p1, p2 = t.vertices
-    x, y = _place(_side_pass(p0.x, p0.y, p1.x, p1.y, p2.x, p2.y), 0, tol.eps)
+    x, y = _point_from_vertices(p0.x, p0.y, p1.x, p1.y, p2.x, p2.y, 0, tol.eps)
     return Point(x, y)
 
 
 def normal_point(kind: FormKind, t: Triangle, tol: Tolerance = DEFAULT_TOL) -> Point:
     """The one-vertex normal point for the given kind."""
     p0, p1, p2 = t.vertices
-    x, y = _place(_side_pass(p0.x, p0.y, p1.x, p1.y, p2.x, p2.y), _rank(kind), tol.eps)
+    x, y = _point_from_vertices(p0.x, p0.y, p1.x, p1.y, p2.x, p2.y, _rank(kind), tol.eps)
     return Point(x, y)
 
 
@@ -552,9 +640,9 @@ def classify(t: Triangle, tol: Tolerance = DEFAULT_TOL) -> TriangleClass:
 def triangles_similar(t1: Triangle, t2: Triangle, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Similarity test via the longest-side canonical key, compared within tol.eps."""
     p0, p1, p2 = t1.vertices
-    x1, y1 = _place(_side_pass(p0.x, p0.y, p1.x, p1.y, p2.x, p2.y), 2, 0.0)
+    x1, y1 = _point_from_vertices(p0.x, p0.y, p1.x, p1.y, p2.x, p2.y, 2, 0.0)
     p0, p1, p2 = t2.vertices
-    x2, y2 = _place(_side_pass(p0.x, p0.y, p1.x, p1.y, p2.x, p2.y), 2, 0.0)
+    x2, y2 = _point_from_vertices(p0.x, p0.y, p1.x, p1.y, p2.x, p2.y, 2, 0.0)
     return abs(x1 - x2) <= tol.eps and abs(y1 - y2) <= tol.eps
 
 

@@ -415,6 +415,20 @@ def test_placement_matches_complex_division_bit_for_bit():
             assert _outcome(fn, t) == _outcome(list_sort_normal_point, t, rank), (t, rank)
 
 
+def test_point_from_vertices_matches_the_side_pass_and_placement():
+    # the one-frame kernel repeats _side_pass and _place for the callers
+    # that want one point; every outcome, UnboundedType included, must be
+    # the same to the last bit, at every rank and eps, across the float range
+    rng = random.Random(433)
+    for t in _placement_cases(rng, 30000):
+        (x0, y0), (x1, y1), (x2, y2) = ((p.x, p.y) for p in t.vertices)
+        sides = triangles._side_pass(x0, y0, x1, y1, x2, y2)
+        for rank in (0, 1, 2):
+            for e in (1e-9, 1e-15, 5e-324):
+                have = _outcome(triangles._point_from_vertices, x0, y0, x1, y1, x2, y2, rank, e)
+                assert have == _outcome(triangles._place, sides, rank, e), (t, rank, e)
+
+
 def test_the_triangle_path_builds_no_complex(monkeypatch, capsys):
     # the placement divides in plain floats: a complex() call made by any
     # public triangle function or by a normalize --points record fails here
@@ -481,6 +495,7 @@ def test_each_call_makes_one_side_pass(monkeypatch):
             lambda: b_normal_point(t),
             lambda: a_normal_point(t),
             *(lambda kind=kind: normal_point(kind, t) for kind in kinds),
+            lambda: classify(t),
         ):
             calls.clear()
             call()
