@@ -10,10 +10,11 @@ In structured output, normalize, convert of a shape and quad-normalize
 print whole records of four layouts: a one-vertex form with angles and
 without them (degenerate), a circle form and a quad.  _triangle_record
 and _quad_record then return the record as its JSON line, formatted by one
-f-string per layout from their own values, and build no dict; any other
-record goes through json.  Those f-strings quote command, form_kind,
-angle_class and side_class without escaping, safe as the program makes
-all four.
+f-string per layout from their own values, and build no dict; in text
+output _triangle_record builds one dict in record order for all three
+triangle layouts.  Any other record goes through json.  Those f-strings
+quote command, form_kind, angle_class and side_class without escaping,
+safe as the program makes all four.
 
 normalize --batch runs in three stages, each over the whole file: parse
 every line, then compute every record, then emit them, so an unparsable
@@ -200,12 +201,6 @@ def _arity(shape: _Shape) -> int:
     return 3 if len(shape) == 3 else len(shape) // 2
 
 
-def _angles_out(values: tuple[float, float, float], degrees: bool):
-    if degrees:
-        return tuple(math.degrees(v) for v in values)
-    return values
-
-
 # a form as the records name it, with its anchored side rank (None for the circle form)
 _Form = tuple[str, int | None]
 
@@ -225,10 +220,11 @@ def _triangle_record(
     side triple was checked by _check_sides when it was parsed, and a side
     pass yields finite, nonnegative lengths.
 
-    With fmt "structured" the record is its JSON line, one f-string per
-    layout (see _emit); otherwise it is one dict literal per layout, its
-    fields in record order, which text output prints and the commands that
-    pick fields read.
+    The form point, in_domain and the printed angles are worked out once
+    for both formats.  With fmt "structured" the record is its JSON line,
+    one f-string per layout (see _emit); otherwise it is one dict, built
+    field by field in record order, which text output prints and the
+    commands that pick fields read.
     """
     name, rank = form
     if len(shape) == 3:
@@ -251,11 +247,14 @@ def _triangle_record(
     angle_class = cls.angle_class._value_
     side_class = cls.side_class._value_
     ang = _point_angles(xc, yc, tol.eps)
-    if rank is None:
-        if ang is None:
+    if ang is None:
+        if rank is None:
             raise DegenerateAngles(f"sides {(a, b, c)!r} describe a degenerate triangle")
+        angles = None
+    else:
+        angles = tuple(math.degrees(v) for v in ang) if degrees else ang
+    if rank is None:
         verts = _circle_vertices(ang[0], ang[1])
-        angles = _angles_out(ang, degrees)
         if fmt == "structured":
             (x0, y0), (x1, y1), (x2, y2) = verts
             a0, a1, a2 = angles
@@ -265,60 +264,41 @@ def _triangle_record(
                 f'"command": "{command}", "form_kind": "{name}", "side_class": "{side_class}", '
                 f'"side_ratios": [{a / c!r}, {b / c!r}, 1.0]}}'
             )
-        return {
-            "command": command,
-            "form_kind": name,
-            "circle_vertices": verts,
-            "angle_class": angle_class,
-            "side_class": side_class,
-            "angles": angles,
-            "side_ratios": (a / c, b / c, 1.0),
-        }
-    if rank == 2:
-        x, y = xc, yc
-    elif sides is not None:
-        x, y = _place(sides, rank, tol.eps)
+        rec = {"command": command, "form_kind": name, "circle_vertices": verts}
     else:
-        x, y = _point_from_sides(rank, a, b, c, tol.eps)
-    in_domain = _IN_REGION[rank](x, y, tol.eps)
-    if fmt == "structured":
-        # both layouts end with the fields from form_kind on
-        tail = (
-            f'"form_kind": "{name}", "in_domain": {"true" if in_domain else "false"}, '
-            f'"normal_point": [{x!r}, {y!r}], "side_class": "{side_class}", '
-            f'"side_ratios": [{a / c!r}, {b / c!r}, 1.0]}}'
-        )
-        if ang is None:
-            return (
-                f'{{"angle_class": "{angle_class}", "command": "{command}", "degenerate": true, '
-                f"{tail}"
+        if rank == 2:
+            x, y = xc, yc
+        elif sides is not None:
+            x, y = _place(sides, rank, tol.eps)
+        else:
+            x, y = _point_from_sides(rank, a, b, c, tol.eps)
+        in_domain = _IN_REGION[rank](x, y, tol.eps)
+        if fmt == "structured":
+            # both layouts end with the fields from form_kind on
+            tail = (
+                f'"form_kind": "{name}", "in_domain": {"true" if in_domain else "false"}, '
+                f'"normal_point": [{x!r}, {y!r}], "side_class": "{side_class}", '
+                f'"side_ratios": [{a / c!r}, {b / c!r}, 1.0]}}'
             )
-        a0, a1, a2 = _angles_out(ang, degrees)
-        return (
-            f'{{"angle_class": "{angle_class}", "angles": [{a0!r}, {a1!r}, {a2!r}], '
-            f'"command": "{command}", {tail}'
-        )
-    if ang is None:
-        return {
-            "command": command,
-            "form_kind": name,
-            "normal_point": (x, y),
-            "in_domain": in_domain,
-            "angle_class": angle_class,
-            "side_class": side_class,
-            "side_ratios": (a / c, b / c, 1.0),
-            "degenerate": True,
-        }
-    return {
-        "command": command,
-        "form_kind": name,
-        "normal_point": (x, y),
-        "in_domain": in_domain,
-        "angle_class": angle_class,
-        "side_class": side_class,
-        "angles": _angles_out(ang, degrees),
-        "side_ratios": (a / c, b / c, 1.0),
-    }
+            if angles is None:
+                return (
+                    f'{{"angle_class": "{angle_class}", "command": "{command}", "degenerate": true, '
+                    f"{tail}"
+                )
+            a0, a1, a2 = angles
+            return (
+                f'{{"angle_class": "{angle_class}", "angles": [{a0!r}, {a1!r}, {a2!r}], '
+                f'"command": "{command}", {tail}'
+            )
+        rec = {"command": command, "form_kind": name, "normal_point": (x, y), "in_domain": in_domain}
+    rec["angle_class"] = angle_class
+    rec["side_class"] = side_class
+    if angles is not None:
+        rec["angles"] = angles
+    rec["side_ratios"] = (a / c, b / c, 1.0)
+    if angles is None:
+        rec["degenerate"] = True
+    return rec
 
 
 def _quad_record(command: str, shape: _Shape, tol: Tolerance, fmt: str = "text") -> dict | str:

@@ -542,40 +542,6 @@ def _circle_vertices(alpha: float, beta: float) -> tuple[tuple[float, float], ..
     return (math.cos(b2), math.sin(b2)), (math.cos(a2), -math.sin(a2)), (1.0, 0.0)
 
 
-def _vertex_angle(v: Point, p: Point, q: Point) -> float:
-    """Interior angle at v between rays toward p and q, in [0, pi]."""
-    ux, uy = p.x - v.x, p.y - v.y
-    wx, wy = q.x - v.x, q.y - v.y
-    cross = ux * wy - uy * wx
-    dot = ux * wx + uy * wy
-    return math.atan2(abs(cross), dot)
-
-
-def is_normal_circle_triangle(t: Triangle, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Check whether t is exactly a circle-form representative.
-
-    Requires all vertices on the unit circle, one vertex at (1, 0), one
-    strictly above and one strictly below the x-axis, and the recovered
-    smallest/median angles inside their constraint region.
-    """
-    e = tol.eps
-    verts = t.vertices
-    for v in verts:
-        if abs(math.hypot(v.x, v.y) - 1.0) > e:
-            return False
-    anchor = [v for v in verts if abs(v.x - 1.0) <= e and abs(v.y) <= e]
-    if len(anchor) != 1:
-        return False
-    rest = [v for v in verts if v is not anchor[0]]
-    upper = max(rest, key=lambda v: v.y)
-    lower = min(rest, key=lambda v: v.y)
-    if not (upper.y > 0.0 and lower.y < 0.0):
-        return False
-    alpha = _vertex_angle(upper, lower, anchor[0])
-    beta = _vertex_angle(lower, upper, anchor[0])
-    return alpha <= math.pi / 3.0 + e and alpha - e <= beta <= math.pi / 2.0 - alpha / 2.0 + e
-
-
 def _point_angles(x: float, y: float, e: float) -> tuple[float, float, float] | None:
     """The interior angles of a normal triangle with third vertex (x, y), sorted ascending.
 
@@ -663,7 +629,6 @@ __all__ = [
     "in_b_domain",
     "in_c_domain",
     "in_domain",
-    "is_normal_circle_triangle",
     "normal_point",
     "side_lengths",
     "triangle_from_sides",

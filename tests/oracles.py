@@ -389,3 +389,35 @@ def exact_class_gaps(a2: Fraction, b2: Fraction, c2: Fraction) -> tuple[float, .
             _angle_gap(a2, b2, c2, area4),
             _angle_gap(b2, c2, a2, area4),
         )
+
+
+def vertex_angle(v: Point, p: Point, q: Point) -> float:
+    """Interior angle at v between rays toward p and q, in [0, pi]."""
+    ux, uy = p.x - v.x, p.y - v.y
+    wx, wy = q.x - v.x, q.y - v.y
+    return math.atan2(abs(ux * wy - uy * wx), ux * wx + uy * wy)
+
+
+def is_normal_circle_triangle(t: Triangle, tol: Tolerance = DEFAULT_TOL) -> bool:
+    """Check whether t is exactly a circle-form representative.
+
+    Requires all vertices on the unit circle, one vertex at (1, 0), one
+    strictly above and one strictly below the x-axis, and the recovered
+    smallest/median angles inside their constraint region.
+    """
+    e = tol.eps
+    verts = t.vertices
+    for v in verts:
+        if abs(math.hypot(v.x, v.y) - 1.0) > e:
+            return False
+    anchor = [v for v in verts if abs(v.x - 1.0) <= e and abs(v.y) <= e]
+    if len(anchor) != 1:
+        return False
+    rest = [v for v in verts if v is not anchor[0]]
+    upper = max(rest, key=lambda v: v.y)
+    lower = min(rest, key=lambda v: v.y)
+    if not (upper.y > 0.0 and lower.y < 0.0):
+        return False
+    alpha = vertex_angle(upper, lower, anchor[0])
+    beta = vertex_angle(lower, upper, anchor[0])
+    return alpha <= math.pi / 3.0 + e and alpha - e <= beta <= math.pi / 2.0 - alpha / 2.0 + e

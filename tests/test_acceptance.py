@@ -24,7 +24,12 @@ from helpers import (
     repeated_vertex_triangle,
 )
 from figchecks import check_figure
-from oracles import _reflection_images, quads_similar_bruteforce
+from oracles import (
+    _reflection_images,
+    is_normal_circle_triangle,
+    quads_similar_bruteforce,
+    vertex_angle,
+)
 from simnorm import (
     ORIGIN,
     UNIT_X,
@@ -44,7 +49,6 @@ from simnorm import (
     circle_normal_form,
     classify,
     distance,
-    is_normal_circle_triangle,
     normal_point_from_angles,
     normal_point_from_sides,
     normalize_quad,
@@ -208,12 +212,6 @@ def test_criterion_05_conversion_roundtrips():
                     assert abs(want - have) <= 1e-7
 
 
-def _vertex_angle(v, p, q):
-    ux, uy = p.x - v.x, p.y - v.y
-    wx, wy = q.x - v.x, q.y - v.y
-    return math.atan2(abs(ux * wy - uy * wx), ux * wx + uy * wy)
-
-
 def test_criterion_06_circle_form():
     rng = random.Random(20260823)
     with criterion(6, "circle form places vertices correctly"):
@@ -227,9 +225,9 @@ def test_criterion_06_circle_form():
             for v in t.vertices:
                 assert abs(math.hypot(v.x, v.y) - 1.0) <= 1e-12
             measured = (
-                _vertex_angle(a, b, c),
-                _vertex_angle(b, c, a),
-                _vertex_angle(c, a, b),
+                vertex_angle(a, b, c),
+                vertex_angle(b, c, a),
+                vertex_angle(c, a, b),
             )
             for want, have in zip(ang.as_tuple(), measured):
                 assert abs(want - have) <= 1e-9

@@ -17,6 +17,7 @@ from helpers import (
     rand_triangle,
 )
 from oracles import (
+    is_normal_circle_triangle,
     list_sort_classify,
     list_sort_normal_point,
     pipeline_normal_point,
@@ -45,7 +46,6 @@ from simnorm import (
     in_b_domain,
     in_c_domain,
     in_domain,
-    is_normal_circle_triangle,
     normal_point,
     side_lengths,
     triangle_from_sides,
