@@ -8,6 +8,7 @@ import pytest
 
 from figchecks import SVG_NS, check_figure, declared_curves, markers_by_class
 from simnorm import FormKind, Point, Triangle
+from simnorm.cli import main
 from simnorm.figures import domain_figure, render_svg, with_point, with_triangle
 
 ALL_KINDS = (FormKind.C_VERTEX, FormKind.B_VERTEX, FormKind.A_VERTEX, FormKind.CIRCLE)
@@ -38,6 +39,24 @@ SVG_SHA256 = {
 def test_render_is_byte_stable(kind):
     svg = render_svg(domain_figure(kind)).encode("utf-8")
     assert hashlib.sha256(svg).hexdigest() == SVG_SHA256[kind]
+
+
+# SHA-256 of the file written by `simnorm plot --sides 3 4 5 --kind K`, on the
+# same toolchain as SVG_SHA256: the marked point, its label and the circle
+# form's triangle outline must not move between versions either
+PLOT_SHA256 = {
+    FormKind.A_VERTEX: "a36bb8f9f7d0d68c149ff0015cccb94b2acb522f10c26468beab8db100b0f217",
+    FormKind.B_VERTEX: "43cbc2769ec8f4ac4c0ba6515221d2b7bc36da49a32ac076459c4fff6990c453",
+    FormKind.C_VERTEX: "da7069baf9d6ad0d4d283bf8a380ed8bddc7057292ed80386f568a264138969f",
+    FormKind.CIRCLE: "64b7a9c6370035bc6b16e5727c3fe563e217a567e2b14639615f80160e33b01a",
+}
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+def test_plot_is_byte_stable(kind, tmp_path):
+    out = tmp_path / "plot.svg"
+    assert main(["plot", "--sides", "3", "4", "5", "--kind", kind.value, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PLOT_SHA256[kind]
 
 
 def test_one_vertex_figures_mark_both_anchors():
