@@ -434,7 +434,7 @@ def _write_text(path: str, text: str) -> None:
 def _cmd_domains(args, tol: Tolerance) -> list[dict]:
     # deferred here and in _cmd_plot: only the drawing commands need figures,
     # and importing it at module level slows every other command's start-up
-    from .figures import domain_figure, render_svg
+    from .figures import render_svg
 
     if args.kind == "all":
         kinds = tuple(FormKind)
@@ -444,24 +444,21 @@ def _cmd_domains(args, tol: Tolerance) -> list[dict]:
         kinds = (FormKind(args.kind),)
         paths = [args.out if args.out is not None else f"domain_{args.kind}.svg"]
     for kind, path in zip(kinds, paths):
-        _write_text(path, render_svg(domain_figure(kind)))
+        _write_text(path, render_svg(kind))
     return [{"command": "domains", "outputs": tuple(paths)}]
 
 
 def _cmd_plot(args, tol: Tolerance) -> list[dict]:
-    from .figures import domain_figure, render_svg, with_point, with_triangle
+    from .figures import render_svg
 
     kind = FormKind(args.kind)
     record = _triangle_record("plot", _shape_from_args(args), _form(kind), tol, args.degrees)
-    fig = domain_figure(kind)
     if kind is FormKind.CIRCLE:
-        verts = tuple(Point(x, y) for x, y in record["circle_vertices"])
-        fig = with_triangle(fig, Triangle(verts))
+        svg = render_svg(kind, triangle=record["circle_vertices"])
     else:
-        x, y = record["normal_point"]
-        fig = with_point(fig, Point(x, y), f"({x:.4f}, {y:.4f})")
+        svg = render_svg(kind, point=record["normal_point"])
     path = args.out if args.out is not None else f"plot_{kind.value}.svg"
-    _write_text(path, render_svg(fig))
+    _write_text(path, svg)
     picked = _picked(record, ("form_kind", "normal_point", "circle_vertices"))
     return [{"command": "plot", **picked, "outputs": (path,)}]
 

@@ -1,19 +1,20 @@
 """Deterministic SVG figures of the normal-form domains.
 
-Each figure is a small declarative model (curves, markers, shaded
-regions) rendered to SVG 1.1 text.  Curve elements carry data-*
-attributes with full-precision parameters so the drawn geometry can be
-checked programmatically; visual coordinates are written at fixed
-precision to keep output byte-stable.
+render_svg(kind, point=None, triangle=None) is the one public call: it
+draws the form's panels (the main panel, plus the angle-plane inset for
+the circle form) from small declarative models of curves, markers and
+shaded regions, and can mark a point or outline a triangle on the main
+panel.  Curve elements carry data-* attributes with full-precision
+parameters so the drawn geometry can be checked programmatically; visual
+coordinates are written at fixed precision to keep output byte-stable.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .geometry import Point
-from .triangles import FormKind, Triangle
+from .triangles import FormKind
 
 _SQRT3_2 = math.sqrt(3.0) / 2.0
 
@@ -32,11 +33,8 @@ class Segment:
     x2: float
     y2: float
 
-    def point_at(self, t: float) -> Point:
-        return Point(
-            self.x1 + (self.x2 - self.x1) * t,
-            self.y1 + (self.y2 - self.y1) * t,
-        )
+    def point_at(self, t: float) -> tuple[float, float]:
+        return self.x1 + (self.x2 - self.x1) * t, self.y1 + (self.y2 - self.y1) * t
 
 
 @dataclass(frozen=True)
@@ -49,9 +47,9 @@ class Arc:
     t0: float
     t1: float
 
-    def point_at(self, t: float) -> Point:
+    def point_at(self, t: float) -> tuple[float, float]:
         a = self.t0 + (self.t1 - self.t0) * t
-        return Point(self.cx + self.r * math.cos(a), self.cy + self.r * math.sin(a))
+        return self.cx + self.r * math.cos(a), self.cy + self.r * math.sin(a)
 
 
 Curve = Segment | Arc
@@ -86,14 +84,6 @@ class FigurePanel:
     regions: tuple[Region, ...]
     markers: tuple[Marker, ...]
     caption: str
-    shapes: tuple[tuple[Point, ...], ...] = ()
-
-
-@dataclass(frozen=True)
-class DomainFigure:
-    kind: FormKind
-    main: FigurePanel
-    inset: FigurePanel | None = None
 
 
 # the anchors and the equilateral point, shared by the three one-vertex panels
@@ -252,29 +242,11 @@ def _circle_panels() -> tuple[FigurePanel, FigurePanel]:
     return main, inset
 
 
-def domain_figure(kind: FormKind) -> DomainFigure:
-    """The declarative figure for one normal-form domain."""
-    if kind is FormKind.C_VERTEX:
-        return DomainFigure(kind, _c_panel())
-    if kind is FormKind.B_VERTEX:
-        return DomainFigure(kind, _b_panel())
-    if kind is FormKind.A_VERTEX:
-        return DomainFigure(kind, _a_panel())
-    main, inset = _circle_panels()
-    return DomainFigure(kind, main, inset)
-
-
-def with_point(fig: DomainFigure, p: Point, label: str) -> DomainFigure:
-    """The same figure with one highlighted point on the main panel."""
-    marker = Marker(p.x, p.y, label, "point")
-    main = replace(fig.main, markers=fig.main.markers + (marker,))
-    return replace(fig, main=main)
-
-
-def with_triangle(fig: DomainFigure, t: Triangle) -> DomainFigure:
-    """The same figure with a triangle outline on the main panel."""
-    main = replace(fig.main, shapes=fig.main.shapes + (t.vertices,))
-    return replace(fig, main=main)
+_ONE_VERTEX_PANELS = {
+    FormKind.C_VERTEX: _c_panel,
+    FormKind.B_VERTEX: _b_panel,
+    FormKind.A_VERTEX: _a_panel,
+}
 
 
 _PANEL_HEIGHT = 360.0
@@ -315,10 +287,10 @@ class _PanelFrame:
         self._x0 = x0
         self._y1 = y1
 
-    def to_canvas(self, p: Point) -> tuple[float, float]:
+    def to_canvas(self, x: float, y: float) -> tuple[float, float]:
         return (
-            self.x_offset + _MARGIN + (p.x - self._x0) * self.scale,
-            _MARGIN + (self._y1 - p.y) * self.scale,
+            self.x_offset + _MARGIN + (x - self._x0) * self.scale,
+            _MARGIN + (self._y1 - y) * self.scale,
         )
 
 
@@ -333,7 +305,7 @@ def _path_data(frame: _PanelFrame, curves: tuple[Curve, ...], close: bool) -> st
     for curve in curves:
         n = _samples(curve)
         for i in range(n):
-            x, y = frame.to_canvas(curve.point_at(i / (n - 1)))
+            x, y = frame.to_canvas(*curve.point_at(i / (n - 1)))
             cmd = "M" if not steps else "L"
             steps.append(f"{cmd} {_fmt(x)} {_fmt(y)}")
     if close:
@@ -355,7 +327,13 @@ def _curve_attrs(curve: Curve, space: str) -> str:
     )
 
 
-def _render_panel(out: list[str], panel: FigurePanel, frame: _PanelFrame) -> None:
+def _render_panel(
+    out: list[str],
+    panel: FigurePanel,
+    frame: _PanelFrame,
+    point: tuple[float, float] | None = None,
+    triangle: tuple[tuple[float, float], ...] | None = None,
+) -> None:
     out.append('  <g class="regions">\n')
     for region in panel.regions:
         d = _path_data(frame, region.outline, close=True)
@@ -367,23 +345,21 @@ def _render_panel(out: list[str], panel: FigurePanel, frame: _PanelFrame) -> Non
             d = _path_data(frame, (curve,), close=False)
             out.append(f'    <path {_curve_attrs(curve, panel.space)} d="{d}" />\n')
         out.append("  </g>\n")
-    for shape in panel.shapes:
-        pts = " ".join(
-            "{},{}".format(*map(_fmt, frame.to_canvas(v))) for v in shape
-        )
+    if triangle is not None:
+        pts = " ".join("{},{}".format(*map(_fmt, frame.to_canvas(x, y))) for x, y in triangle)
         out.append(f'  <polygon class="shape" points="{pts}" />\n')
+    markers = panel.markers
+    if point is not None:
+        x, y = point
+        markers += (Marker(x, y, f"({x:.4f}, {y:.4f})", "point"),)
     out.append('  <g class="markers">\n')
-    for m in panel.markers:
-        cx, cy = frame.to_canvas(Point(m.x, m.y))
+    for m in markers:
+        cx, cy = frame.to_canvas(m.x, m.y)
         out.append(
             f'    <circle class="marker-{m.role}" data-x="{m.x!r}" data-y="{m.y!r}"'
             f' cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="3.5" />\n'
+            f'    <text x="{_fmt(cx + 6.0)}" y="{_fmt(cy - 6.0)}">{_escape(m.label)}</text>\n'
         )
-        if m.label:
-            out.append(
-                f'    <text x="{_fmt(cx + 6.0)}" y="{_fmt(cy - 6.0)}">'
-                f"{_escape(m.label)}</text>\n"
-            )
     out.append("  </g>\n")
     cap_x = frame.x_offset + _MARGIN
     out.append(
@@ -396,41 +372,39 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def render_svg(fig: DomainFigure) -> str:
-    """Render a figure to deterministic SVG 1.1 text."""
-    main_frame = _PanelFrame(fig.main, 0.0)
-    frames = [(fig.main, main_frame)]
+def render_svg(
+    kind: FormKind,
+    point: tuple[float, float] | None = None,
+    triangle: tuple[tuple[float, float], ...] | None = None,
+) -> str:
+    """The domain figure of one normal form as deterministic SVG 1.1 text.
+
+    point, an (x, y) pair, is marked on the main panel with the label
+    "(x, y)" at four decimals; triangle, three (x, y) pairs, is outlined
+    there.
+    """
+    if kind is FormKind.CIRCLE:
+        main, inset = _circle_panels()
+    else:
+        main, inset = _ONE_VERTEX_PANELS[kind](), None
+    main_frame = _PanelFrame(main, 0.0)
     total = main_frame.width
-    if fig.inset is not None:
-        inset_frame = _PanelFrame(fig.inset, main_frame.width + _GAP)
-        frames.append((fig.inset, inset_frame))
+    if inset is not None:
+        inset_frame = _PanelFrame(inset, main_frame.width + _GAP)
         total = inset_frame.x_offset + inset_frame.width
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{_fmt(total)}" height="{_fmt(_PANEL_HEIGHT)}" '
         f'viewBox="0 0 {_fmt(total)} {_fmt(_PANEL_HEIGHT)}">\n',
-        f"  <title>{_escape(fig.kind.value)} form domain</title>\n",
+        f"  <title>{_escape(kind.value)} form domain</title>\n",
         _STYLE,
         f'  <rect width="{_fmt(total)}" height="{_fmt(_PANEL_HEIGHT)}" fill="#ffffff" />\n',
     ]
-    for panel, frame in frames:
-        _render_panel(out, panel, frame)
+    _render_panel(out, main, main_frame, point, triangle)
+    if inset is not None:
+        _render_panel(out, inset, inset_frame)
     out.append("</svg>\n")
     return "".join(out)
 
 
-__all__ = [
-    "ANGLE_SPACE",
-    "Arc",
-    "Curve",
-    "DomainFigure",
-    "FigurePanel",
-    "Marker",
-    "PLANE_SPACE",
-    "Region",
-    "Segment",
-    "domain_figure",
-    "render_svg",
-    "with_point",
-    "with_triangle",
-]
+__all__ = ["render_svg"]

@@ -2,31 +2,49 @@
 
 import hashlib
 import math
+import random
 import xml.etree.ElementTree as ET
 
 import pytest
 
 from figchecks import SVG_NS, check_figure, declared_curves, markers_by_class
-from simnorm import FormKind, Point, Triangle
+from simnorm import (
+    ORIGIN,
+    UNIT_X,
+    AngleTriple,
+    FormKind,
+    Point,
+    Triangle,
+    circle_normal_form,
+    classify,
+    in_domain,
+)
 from simnorm.cli import main
-from simnorm.figures import domain_figure, render_svg, with_point, with_triangle
+from simnorm.figures import (
+    Segment,
+    _a_panel,
+    _b_panel,
+    _c_panel,
+    _circle_panels,
+    _samples,
+    render_svg,
+)
 
 ALL_KINDS = (FormKind.C_VERTEX, FormKind.B_VERTEX, FormKind.A_VERTEX, FormKind.CIRCLE)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
 def test_declared_curves_sit_on_expected_loci(kind):
-    check_figure(kind.value, render_svg(domain_figure(kind)))
+    check_figure(kind.value, render_svg(kind))
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
 def test_render_is_deterministic(kind):
-    fig = domain_figure(kind)
-    assert render_svg(fig) == render_svg(fig)
+    assert render_svg(kind) == render_svg(kind)
 
 
-# SHA-256 of render_svg(domain_figure(kind)): the text must not change
-# between runs, processes or versions unless the figure itself does
+# SHA-256 of render_svg(kind): the text must not change between runs,
+# processes or versions unless the figure itself does
 SVG_SHA256 = {
     FormKind.A_VERTEX: "24874868f0e12b55e7dfcb57053672eb901346a32aede0ec061769253ca8aea2",
     FormKind.B_VERTEX: "e52977bbd7cde8fc4fbc99bf0156157044d931e35a29344a515e5116d5aee3ed",
@@ -37,7 +55,7 @@ SVG_SHA256 = {
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
 def test_render_is_byte_stable(kind):
-    svg = render_svg(domain_figure(kind)).encode("utf-8")
+    svg = render_svg(kind).encode("utf-8")
     assert hashlib.sha256(svg).hexdigest() == SVG_SHA256[kind]
 
 
@@ -61,37 +79,36 @@ def test_plot_is_byte_stable(kind, tmp_path):
 
 def test_one_vertex_figures_mark_both_anchors():
     for kind in (FormKind.C_VERTEX, FormKind.B_VERTEX, FormKind.A_VERTEX):
-        markers = markers_by_class(render_svg(domain_figure(kind)))
+        markers = markers_by_class(render_svg(kind))
         anchors = set(markers.get("marker-anchor", []))
         assert (0.0, 0.0) in anchors
         assert (1.0, 0.0) in anchors
 
 
 def test_circle_figure_marks_the_unit_anchor():
-    markers = markers_by_class(render_svg(domain_figure(FormKind.CIRCLE)))
+    markers = markers_by_class(render_svg(FormKind.CIRCLE))
     assert (1.0, 0.0) in set(markers.get("marker-anchor", []))
 
 
 def test_circle_figure_separates_spaces():
-    curves = declared_curves(render_svg(domain_figure(FormKind.CIRCLE)))
+    curves = declared_curves(render_svg(FormKind.CIRCLE))
     spaces = {c.space for c in curves}
     assert spaces == {"plane", "angles"}
 
 
 def test_unbounded_domain_caption_mentions_clipping():
-    svg = render_svg(domain_figure(FormKind.A_VERTEX))
+    svg = render_svg(FormKind.A_VERTEX)
     assert "clip" in svg.lower()
 
 
 def test_with_point_adds_a_point_marker():
-    fig = with_point(domain_figure(FormKind.C_VERTEX), Point(0.64, 0.48), "(0.64, 0.48)")
-    markers = markers_by_class(render_svg(fig))
+    markers = markers_by_class(render_svg(FormKind.C_VERTEX, point=(0.64, 0.48)))
     assert (0.64, 0.48) in set(markers.get("marker-point", []))
 
 
 def test_with_triangle_adds_shape_outline():
-    t = Triangle.of(Point(1.0, 0.0), Point(-0.5, math.sqrt(3.0) / 2.0), Point(-0.5, -math.sqrt(3.0) / 2.0))
-    svg = render_svg(with_triangle(domain_figure(FormKind.CIRCLE), t))
+    t = ((1.0, 0.0), (-0.5, math.sqrt(3.0) / 2.0), (-0.5, -math.sqrt(3.0) / 2.0))
+    svg = render_svg(FormKind.CIRCLE, triangle=t)
     root = ET.fromstring(svg)
     polygons = [
         poly for poly in root.iter(f"{SVG_NS}polygon") if poly.get("class") == "shape"
@@ -102,13 +119,95 @@ def test_with_triangle_adds_shape_outline():
 
 def test_svg_has_no_external_references():
     for kind in ALL_KINDS:
-        svg = render_svg(domain_figure(kind))
+        svg = render_svg(kind)
         assert "http" not in svg.replace("http://www.w3.org/2000/svg", "")
 
 
 def test_svg_well_formed_and_sized():
     for kind in ALL_KINDS:
-        root = ET.fromstring(render_svg(domain_figure(kind)))
+        root = ET.fromstring(render_svg(kind))
         assert root.tag == f"{SVG_NS}svg"
         assert float(root.get("width")) > 0.0
         assert float(root.get("height")) > 0.0
+
+
+def _polygon(outline):
+    """A region's outline as drawn: each curve sampled as the renderer samples it."""
+    pts = []
+    for curve in outline:
+        n = _samples(curve)
+        pts.extend(curve.point_at(i / (n - 1)) for i in range(n))
+    return pts
+
+
+def _inside(polygon, x, y):
+    inside = False
+    for (x1, y1), (x2, y2) in zip(polygon, polygon[1:] + polygon[:1]):
+        if (y1 > y) != (y2 > y) and x < x1 + (y - y1) * (x2 - x1) / (y2 - y1):
+            inside = not inside
+    return inside
+
+
+def _distance(curve, x, y):
+    """Distance from (x, y) to the exact segment or arc."""
+    if isinstance(curve, Segment):
+        dx, dy = curve.x2 - curve.x1, curve.y2 - curve.y1
+        t = ((x - curve.x1) * dx + (y - curve.y1) * dy) / (dx * dx + dy * dy)
+        t = min(1.0, max(0.0, t))
+        return math.hypot(x - curve.x1 - t * dx, y - curve.y1 - t * dy)
+    lo, hi = sorted((curve.t0, curve.t1))
+    a = math.atan2(y - curve.cy, x - curve.cx) % math.tau
+    if lo <= a <= hi:
+        return abs(math.hypot(x - curve.cx, y - curve.cy) - curve.r)
+    return min(math.dist((x, y), curve.point_at(0.0)), math.dist((x, y), curve.point_at(1.0)))
+
+
+def _plane_class(kind):
+    def angle_class(x, y):
+        p = Point(x, y)
+        if not in_domain(kind, p):
+            return None
+        return classify(Triangle.of(ORIGIN, UNIT_X, p)).angle_class.value
+
+    return angle_class
+
+
+def _inset_class(alpha, beta):
+    if not 0.0 < alpha <= beta <= (math.pi - alpha) / 2.0:
+        return None
+    angles = AngleTriple(alpha, beta, math.pi - alpha - beta)
+    return classify(circle_normal_form(angles)).angle_class.value
+
+
+# panels with shaded regions, each with the library's verdict on a point of
+# its world plane: None outside the domain, else the angle class's value
+REGION_PANELS = {
+    "c": (_c_panel(), _plane_class(FormKind.C_VERTEX)),
+    "b": (_b_panel(), _plane_class(FormKind.B_VERTEX)),
+    "a": (_a_panel(), _plane_class(FormKind.A_VERTEX)),
+    "circle-inset": (_circle_panels()[1], _inset_class),
+}
+
+# the polylines stray up to 5.4e-4 from a unit arc (96 samples per turn), so
+# a point this far from every exact curve is on the same side of the drawn one
+CURVE_MARGIN = 2e-3
+
+
+@pytest.mark.parametrize("name", REGION_PANELS)
+def test_drawn_regions_agree_with_the_predicates(name):
+    panel, verdict = REGION_PANELS[name]
+    curves = panel.boundary + panel.right_locus
+    curves += tuple(curve for region in panel.regions for curve in region.outline)
+    polygons = {region.label: _polygon(region.outline) for region in panel.regions}
+    x0, y0, x1, y1 = panel.viewport
+    rng = random.Random(1502_00241)
+    seen = set()
+    for _ in range(3000):
+        x, y = rng.uniform(x0, x1), rng.uniform(y0, y1)
+        if min(_distance(curve, x, y) for curve in curves) < CURVE_MARGIN:
+            continue
+        label = verdict(x, y)
+        for region, polygon in polygons.items():
+            assert _inside(polygon, x, y) == (label == region), (x, y, region, label)
+        seen.add(label)
+    assert seen == {None, *polygons}
