@@ -108,51 +108,30 @@ def distance(p: Point, q: Point) -> float:
 
 
 class SimilarityTransform(_Value):
-    """A plane similarity in factored form.
+    """A plane similarity as a complex map.
 
-    Applies, in order: reflection across the x-axis (when ``reflect`` is
-    set), rotation by ``rotation`` radians about the origin, dilation by
-    ``scale``, and translation by ``translation``.  A negative scale is
-    folded into an extra half turn on construction, so the stored scale is
-    always positive and the orientation class can be read off ``reflect``.
+    On z = x + iy it sends z to a*z + b, or to a*conj(z) + b when
+    ``reflect`` is set: a reflection across the x-axis first, then the
+    rotation and dilation by ``a``, then the translation by ``b``.  The
+    orientation class is read off ``reflect``.
     """
 
-    __slots__ = ("scale", "rotation", "reflect", "translation")
-    scale: float
-    rotation: float
+    __slots__ = ("a", "b", "reflect")
+    a: complex
+    b: complex
     reflect: bool
-    translation: Point
 
-    def __init__(
-        self,
-        scale: float = 1.0,
-        rotation: float = 0.0,
-        reflect: bool = False,
-        translation: Point = ORIGIN,
-    ) -> None:
-        if not math.isfinite(scale) or scale == 0.0:
-            raise ValueError(f"scale must be finite and nonzero, got {scale!r}")
-        if not math.isfinite(rotation):
-            raise ValueError(f"rotation must be finite, got {rotation!r}")
-        if scale < 0.0:
-            scale, rotation = -scale, rotation + math.pi
-        _set(self, "scale", scale)
-        # keep the angle in [-pi, pi] so transforms differing by full turns
-        # compare equal
-        _set(self, "rotation", math.remainder(rotation, math.tau))
+    def __init__(self, a: complex = 1.0, b: complex = 0.0, reflect: bool = False) -> None:
+        a, b = complex(a), complex(b)
+        if a == 0 or not all(map(_isfinite, (a.real, a.imag, b.real, b.imag))):
+            raise ValueError(f"a must be finite and nonzero and b finite, got a={a!r}, b={b!r}")
+        _set(self, "a", a)
+        _set(self, "b", b)
         _set(self, "reflect", reflect)
-        _set(self, "translation", translation)
 
     def apply(self, p: Point) -> Point:
-        x, y = p.x, p.y
-        if self.reflect:
-            y = -y
-        cos_r = math.cos(self.rotation)
-        sin_r = math.sin(self.rotation)
-        return Point(
-            self.scale * (cos_r * x - sin_r * y) + self.translation.x,
-            self.scale * (sin_r * x + cos_r * y) + self.translation.y,
-        )
+        w = self.a * complex(p.x, -p.y if self.reflect else p.y) + self.b
+        return Point(w.real, w.imag)
 
 
 def similarity_from_segment(
@@ -180,19 +159,13 @@ def similarity_from_segment(
     qy = q2.y - q1.y
     if reflect:
         py = -py
-    # complex ratio a = (q2 - q1) / (p2 - p1), conjugating the source first
-    # when a reflection is requested
+    # a = (q2 - q1) / (p2 - p1), conjugating the source first when a
+    # reflection is requested, over |p2 - p1|^2 rather than by complex /,
+    # so that the tests' pipeline oracle shares no step with Smith's quotient
     den = px * px + py * py
-    ax = (qx * px + qy * py) / den
-    ay = (qy * px - qx * py) / den
-    p1x = p1.x
-    p1y = -p1.y if reflect else p1.y
-    return SimilarityTransform(
-        scale=math.hypot(ax, ay),
-        rotation=math.atan2(ay, ax),
-        reflect=reflect,
-        translation=Point(q1.x - (ax * p1x - ay * p1y), q1.y - (ax * p1y + ay * p1x)),
-    )
+    a = complex((qx * px + qy * py) / den, (qy * px - qx * py) / den)
+    z1 = complex(p1.x, -p1.y if reflect else p1.y)
+    return SimilarityTransform(a, complex(q1.x, q1.y) - a * z1, reflect)
 
 
 # Shapes whose largest pairwise distance lies outside [_TINY, _HUGE] are

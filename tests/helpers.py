@@ -9,6 +9,7 @@ noise and the tests would measure rounding instead of the geometry.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import random
@@ -79,12 +80,11 @@ def rand_triangle(
 def rand_transform(
     rng: random.Random, lo: float = 1e-3, hi: float = 1e3
 ) -> SimilarityTransform:
-    return SimilarityTransform(
-        scale=math.exp(rng.uniform(math.log(lo), math.log(hi))),
-        rotation=rng.uniform(-math.pi, math.pi),
-        reflect=rng.random() < 0.5,
-        translation=rand_point(rng, 5.0),
-    )
+    scale = math.exp(rng.uniform(math.log(lo), math.log(hi)))
+    theta = rng.uniform(-math.pi, math.pi)
+    reflect = rng.random() < 0.5
+    shift = rand_point(rng, 5.0)
+    return SimilarityTransform(cmath.rect(scale, theta), complex(shift.x, shift.y), reflect)
 
 
 def apply_to_triangle(g: SimilarityTransform, t: Triangle) -> Triangle:

@@ -27,8 +27,8 @@ from simnorm.geometry import _HUGE, _TINY, _rescaled
 from simnorm.triangles import TriangleClass, _classify
 
 _X_AXIS_REFLECT = SimilarityTransform(reflect=True)
-# reflection across the vertical line x = 1/2: conjugate, half turn, shift
-_MIDLINE_REFLECT = SimilarityTransform(rotation=math.pi, reflect=True, translation=Point(1.0, 0.0))
+# reflection across the vertical line x = 1/2: z -> 1 - conj(z)
+_MIDLINE_REFLECT = SimilarityTransform(-1.0, 1.0, reflect=True)
 
 
 def pipeline_normal_point(t: Triangle, rank: int) -> Point:
@@ -37,10 +37,11 @@ def pipeline_normal_point(t: Triangle, rank: int) -> Point:
     Moves the side of the requested rank (0 shortest, 2 longest) onto the
     x-axis starting at the origin, reflects the remaining vertex into the
     upper half plane, dilates the side to unit length, and finally reflects
-    across x = 1/2 when needed.  Fitted and applied with cos/sin, it shares
-    no arithmetic with the library's placement, CPython's complex quotient
-    written out in floats bit for bit, so it can referee it.  Sides shorter
-    than the absolute eps of similarity_from_segment raise DegenerateSegment.
+    across x = 1/2 when needed.  Each map is fitted over |p|^2 and applied
+    by one complex multiply-add, so it shares no arithmetic with the
+    library's placement, CPython's complex quotient (Smith's steps) written
+    out in floats bit for bit, and it can referee it.  Sides shorter than
+    the absolute eps of similarity_from_segment raise DegenerateSegment.
     """
     v = t.vertices
     pairs = sorted((distance(v[i], v[j]), (i, j)) for i, j in ((0, 1), (0, 2), (1, 2)))
@@ -48,7 +49,7 @@ def pipeline_normal_point(t: Triangle, rank: int) -> Point:
     p = similarity_from_segment(v[i], v[j], ORIGIN, Point(length, 0.0)).apply(v[3 - i - j])
     if p.y < 0.0:
         p = _X_AXIS_REFLECT.apply(p)
-    p = SimilarityTransform(scale=1.0 / length).apply(p)
+    p = SimilarityTransform(1.0 / length).apply(p)
     if p.x < 0.5:
         p = _MIDLINE_REFLECT.apply(p)
     return p

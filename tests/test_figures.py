@@ -14,6 +14,7 @@ from simnorm import (
     AngleTriple,
     FormKind,
     Point,
+    Tolerance,
     Triangle,
     circle_normal_form,
     classify,
@@ -211,3 +212,39 @@ def test_drawn_regions_agree_with_the_predicates(name):
             assert _inside(polygon, x, y) == (label == region), (x, y, region, label)
         seen.add(label)
     assert seen == {None, *polygons}
+
+
+# each one-vertex panel with a point well inside its domain: the inner side
+# of a boundary curve is the side that point lies on
+DOMAIN_PANELS = {
+    FormKind.C_VERTEX: (_c_panel(), (0.75, 0.4)),
+    FormKind.B_VERTEX: (_b_panel(), (1.2, 0.7)),
+    FormKind.A_VERTEX: (_a_panel(), (1.5, 2.0)),
+}
+
+
+def _inward_normal(curve, x, y, inner):
+    """The unit normal of the curve at its point (x, y), toward the side of inner."""
+    if isinstance(curve, Segment):
+        nx, ny = curve.y1 - curve.y2, curve.x2 - curve.x1
+        side = nx * (inner[0] - x) + ny * (inner[1] - y)
+    else:
+        nx, ny = x - curve.cx, y - curve.cy
+        side = math.hypot(inner[0] - curve.cx, inner[1] - curve.cy) - curve.r
+    scale = math.copysign(1.0 / math.hypot(nx, ny), side)
+    return nx * scale, ny * scale
+
+
+@pytest.mark.parametrize("eps", [1e-12, 1e-9, 1e-6])
+@pytest.mark.parametrize("kind", DOMAIN_PANELS, ids=lambda k: k.value)
+def test_points_ten_eps_off_each_boundary_curve_fall_on_its_drawn_side(kind, eps):
+    panel, inner = DOMAIN_PANELS[kind]
+    tol = Tolerance(eps)
+    step = 10.0 * eps
+    for curve in panel.boundary:
+        for i in range(500):
+            t = 0.01 + 0.98 * i / 499
+            x, y = curve.point_at(t)
+            nx, ny = _inward_normal(curve, x, y, inner)
+            assert in_domain(kind, Point(x + step * nx, y + step * ny), tol), (curve, t)
+            assert not in_domain(kind, Point(x - step * nx, y - step * ny), tol), (curve, t)

@@ -1,10 +1,14 @@
 """Foundation layer: points, transforms, reflections, tolerance policy."""
 
 import math
+import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
+from helpers import rand_point, rand_transform
 from simnorm import (
     ORIGIN,
     UNIT_X,
@@ -56,19 +60,15 @@ def test_distance_landmarks():
 
 def test_transform_validation_and_normalization():
     with pytest.raises(ValueError):
-        SimilarityTransform(scale=0.0)
+        SimilarityTransform(a=0.0)
     with pytest.raises(ValueError):
-        SimilarityTransform(scale=math.inf)
+        SimilarityTransform(a=math.inf)
     with pytest.raises(ValueError):
-        SimilarityTransform(rotation=math.nan)
-    # negative dilation is a half turn at positive scale
-    g = SimilarityTransform(scale=-2.0, rotation=0.0)
-    assert g.scale == 2.0
-    assert g.rotation == pytest.approx(math.pi)
-    # stored rotation lives in [-pi, pi]
-    assert abs(SimilarityTransform(rotation=3.0 * math.pi).rotation) == pytest.approx(math.pi)
-    assert SimilarityTransform(rotation=0.5 + math.tau).rotation == pytest.approx(0.5)
-    assert SimilarityTransform(rotation=-0.5).rotation == -0.5
+        SimilarityTransform(b=math.nan)
+    # a and b are stored as complex numbers, whatever number type they came as
+    g = SimilarityTransform(2, -1.5)
+    assert type(g.a) is complex and g.a == 2.0
+    assert type(g.b) is complex and g.b == -1.5
 
 
 def test_identity_and_orientation_flag():
@@ -79,7 +79,7 @@ def test_identity_and_orientation_flag():
 
 
 def test_reflection_applies_before_rotation():
-    g = SimilarityTransform(rotation=math.pi / 2.0, reflect=True)
+    g = SimilarityTransform(a=1j, reflect=True)
     img = g.apply(Point(1.0, 1.0))
     # (1, 1) -> reflect (1, -1) -> rotate quarter turn (1, 1)
     assert img.close_to(Point(1.0, 1.0), Tolerance(1e-12))
@@ -94,6 +94,31 @@ def test_similarity_from_segment_hits_endpoints(p1, p2, q1, q2, reflect):
     assert distance(g.apply(p1), q1) <= 1e-8 * span
     assert distance(g.apply(p2), q2) <= 1e-8 * span
     assert g.reflect == reflect
+
+
+def test_similarity_from_segment_recovers_the_map_it_was_fitted_to():
+    rng = random.Random(4040)
+    for _ in range(100_000):
+        g = rand_transform(rng)
+        p1 = rand_point(rng, 10.0)
+        p2 = rand_point(rng, 10.0)
+        while distance(p1, p2) < 1.0:
+            p2 = rand_point(rng, 10.0)
+        f = similarity_from_segment(p1, p2, g.apply(p1), g.apply(p2), g.reflect)
+        assert f.reflect == g.reflect
+        assert abs(f.a - g.a) <= 1e-11 * abs(g.a), (g, p1, p2, f)
+        assert abs(f.b - g.b) <= 1e-13 * (20.0 * abs(g.a) + abs(g.b)), (g, p1, p2, f)
+
+
+def test_import_loads_no_cmath():
+    # the complex map needs no cmath, a shared object the package never loaded
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, simnorm; print('cmath' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_similarity_from_segment_orientation():

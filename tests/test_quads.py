@@ -1,5 +1,6 @@
 """Four-point canonical forms, the similarity test, and reflection orbits."""
 
+import cmath
 import itertools
 import math
 import random
@@ -474,10 +475,9 @@ def test_bruteforce_oracle_accepts_copies_at_every_scale():
         q = rand_quad(rng, special_fraction=0.3)
         for scale in (1e-300, 1e-250, 1e250, 1e300):
             g = SimilarityTransform(
-                scale=scale,
-                rotation=rng.uniform(-math.pi, math.pi),
+                a=cmath.rect(scale, rng.uniform(-math.pi, math.pi)),
                 reflect=rng.random() < 0.5,
-                translation=Point(scale * rng.uniform(-2.0, 2.0), scale * rng.uniform(-2.0, 2.0)),
+                b=complex(scale * rng.uniform(-2.0, 2.0), scale * rng.uniform(-2.0, 2.0)),
             )
             image = permuted_quad(rng, apply_to_quad(g, q))
             assert quads_similar_bruteforce(q, image, TOL), (q, image)
@@ -534,10 +534,9 @@ def test_quads_similar_holds_across_the_float_range(eps):
     for q1, q2, similar in _base_pairs(rng):
         for scale in (1e-310, 1e-300, 1e300, 1e307):
             g = SimilarityTransform(
-                scale=scale,
-                rotation=rng.uniform(-math.pi, math.pi),
+                a=cmath.rect(scale, rng.uniform(-math.pi, math.pi)),
                 reflect=rng.random() < 0.5,
-                translation=Point(scale * rng.uniform(-2.0, 2.0), scale * rng.uniform(-2.0, 2.0)),
+                b=complex(scale * rng.uniform(-2.0, 2.0), scale * rng.uniform(-2.0, 2.0)),
             )
             image = permuted_quad(rng, apply_to_quad(g, q2))
             assert quads_similar(q1, image, tol) is similar, (q1, image)

@@ -31,10 +31,9 @@ CASES = [
     (lambda: Point(1.0, -2.5), "Point(x=1.0, y=-2.5)", (1.0, -2.5)),
     (lambda: Tolerance(), "Tolerance(eps=1e-09)", (1e-9,)),
     (
-        lambda: SimilarityTransform(-2.0, 0.5, True, Point(1.0, -2.5)),
-        "SimilarityTransform(scale=2.0, rotation=-2.641592653589793, reflect=True, "
-        "translation=Point(x=1.0, y=-2.5))",
-        (2.0, 0.5 - math.pi, True, Point(1.0, -2.5)),
+        lambda: SimilarityTransform(-2.0 + 0.5j, 1, True),
+        "SimilarityTransform(a=(-2+0.5j), b=(1+0j), reflect=True)",
+        (complex(-2.0, 0.5), complex(1.0, 0.0), True),
     ),
     (
         lambda: Triangle.of(P, Q, R),
@@ -127,8 +126,8 @@ def test_positional_match_patterns(make, text, fields):
             got = (x, y)
         case Tolerance(eps):
             got = (eps,)
-        case SimilarityTransform(scale, rotation, reflect, translation):
-            got = (scale, rotation, reflect, translation)
+        case SimilarityTransform(a, b, reflect):
+            got = (a, b, reflect)
         case Triangle(vertices) | Quadrilateral(vertices):
             got = (vertices,)
         case SideLengths(a, b, c):
