@@ -12,8 +12,8 @@ coordinates are written at fixed precision to keep output byte-stable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from .geometry import _Value
 from .triangles import FormKind
 
 _SQRT3_2 = math.sqrt(3.0) / 2.0
@@ -24,10 +24,10 @@ PLANE_SPACE = "plane"
 ANGLE_SPACE = "angles"
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(_Value):
     """Straight piece from (x1, y1) to (x2, y2)."""
 
+    __slots__ = ("x1", "y1", "x2", "y2")
     x1: float
     y1: float
     x2: float
@@ -37,10 +37,10 @@ class Segment:
         return self.x1 + (self.x2 - self.x1) * t, self.y1 + (self.y2 - self.y1) * t
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(_Value):
     """Circular arc centered at (cx, cy) with radius r, swept from t0 to t1."""
 
+    __slots__ = ("cx", "cy", "r", "t0", "t1")
     cx: float
     cy: float
     r: float
@@ -55,28 +55,28 @@ class Arc:
 Curve = Segment | Arc
 
 
-@dataclass(frozen=True)
-class Marker:
+class Marker(_Value):
     """Labeled dot; role picks the CSS class (equilateral, anchor, point)."""
 
+    __slots__ = ("x", "y", "label", "role")
     x: float
     y: float
     label: str
     role: str
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(_Value):
     """Filled subregion whose outline is traced head-to-tail along curves."""
 
+    __slots__ = ("label", "outline")
     label: str
     outline: tuple[Curve, ...]
 
 
-@dataclass(frozen=True)
-class FigurePanel:
+class FigurePanel(_Value):
     """One drawing area: a viewport in world coordinates plus its contents."""
 
+    __slots__ = ("space", "viewport", "boundary", "right_locus", "regions", "markers", "caption")
     space: str
     viewport: tuple[float, float, float, float]
     boundary: tuple[Curve, ...]
@@ -242,10 +242,12 @@ def _circle_panels() -> tuple[FigurePanel, FigurePanel]:
     return main, inset
 
 
-_ONE_VERTEX_PANELS = {
-    FormKind.C_VERTEX: _c_panel,
-    FormKind.B_VERTEX: _b_panel,
-    FormKind.A_VERTEX: _a_panel,
+# (main, inset) of each form, built once: the models are immutable
+_PANELS = {
+    FormKind.C_VERTEX: (_c_panel(), None),
+    FormKind.B_VERTEX: (_b_panel(), None),
+    FormKind.A_VERTEX: (_a_panel(), None),
+    FormKind.CIRCLE: _circle_panels(),
 }
 
 
@@ -314,17 +316,10 @@ def _path_data(frame: _PanelFrame, curves: tuple[Curve, ...], close: bool) -> st
 
 
 def _curve_attrs(curve: Curve, space: str) -> str:
-    if isinstance(curve, Segment):
-        return (
-            f'data-curve="segment" data-space="{space}"'
-            f' data-x1="{curve.x1!r}" data-y1="{curve.y1!r}"'
-            f' data-x2="{curve.x2!r}" data-y2="{curve.y2!r}"'
-        )
-    return (
-        f'data-curve="arc" data-space="{space}"'
-        f' data-cx="{curve.cx!r}" data-cy="{curve.cy!r}" data-r="{curve.r!r}"'
-        f' data-t0="{curve.t0!r}" data-t1="{curve.t1!r}"'
-    )
+    # the curve's fields at full precision, named and ordered as declared
+    fields = zip(curve.__match_args__, curve._fields(curve))
+    head = f'data-curve="{type(curve).__name__.lower()}" data-space="{space}"'
+    return head + "".join(f' data-{name}="{value!r}"' for name, value in fields)
 
 
 def _render_panel(
@@ -383,10 +378,7 @@ def render_svg(
     "(x, y)" at four decimals; triangle, three (x, y) pairs, is outlined
     there.
     """
-    if kind is FormKind.CIRCLE:
-        main, inset = _circle_panels()
-    else:
-        main, inset = _ONE_VERTEX_PANELS[kind](), None
+    main, inset = _PANELS[kind]
     main_frame = _PanelFrame(main, 0.0)
     total = main_frame.width
     if inset is not None:

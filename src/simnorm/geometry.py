@@ -16,12 +16,16 @@ _set = object.__setattr__
 
 
 class _Value:
-    """Base of the immutable value types; behaves as a frozen dataclass.
+    """Base of the immutable value types: a frozen record of named fields.
 
     The field names are the subclass's __slots__, in constructor order.
-    Assignment and deletion raise AttributeError; equality holds between
-    instances of one class with equal fields; the hash, repr, positional
-    match patterns, copy and pickle all follow the field tuple.
+    The shared constructor takes every field once, positionally first and
+    then by keyword, and raises TypeError on a missing, extra or unknown
+    one; a subclass that validates its arguments or is built on a hot path
+    defines its own.  Assignment and deletion raise AttributeError;
+    equality holds between instances of one class with equal fields; the
+    hash, repr, positional match patterns, copy and pickle all follow the
+    field tuple.
     """
 
     __slots__ = ()
@@ -30,6 +34,13 @@ class _Value:
         names = cls.__match_args__ = cls.__slots__
         get = attrgetter(*names)
         cls._fields = staticmethod(get if len(names) > 1 else lambda value: (get(value),))
+
+    def __init__(self, *args, **kwargs) -> None:
+        given = dict(zip(self.__slots__, args), **kwargs)
+        if len(given) != len(args) + len(kwargs) or given.keys() != set(self.__slots__):
+            raise TypeError(f"{type(self).__qualname__}() takes each of {self.__slots__} once")
+        for name in self.__slots__:
+            _set(self, name, given[name])
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

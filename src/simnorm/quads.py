@@ -87,6 +87,8 @@ def in_d_region(p: Point, c: Point, tol: Tolerance = DEFAULT_TOL) -> bool:
     The region keeps p within unit distance of both anchors and of c, and
     below c in the quasilexicographic sense: strictly smaller fold distance
     from x = 1/2, or an equal fold distance (within eps) and |y| <= |c.y|.
+    The three unit discs are relaxed on their squared radii by eps, which
+    is about eps/2 along their normals.
     """
     return _in_d_region(p.x, p.y, c.x, c.y, tol.eps)
 

@@ -70,10 +70,6 @@ class TriangleClass(_Value):
     angle_class: AngleClass
     side_class: SideClass
 
-    def __init__(self, angle_class: AngleClass, side_class: SideClass) -> None:
-        _set(self, "angle_class", angle_class)
-        _set(self, "side_class", side_class)
-
 
 # the 12 classes, shared like enum members: a row per angle class, in SideClass order
 _ACUTE_CLASSES, _RIGHT_CLASSES, _OBTUSE_CLASSES, _DEGENERATE_CLASSES = (
@@ -506,17 +502,31 @@ _IN_REGION = (_in_a_region, _in_b_region, _in_c_region)
 
 
 def in_c_domain(p: Point, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Membership in the longest-side region, inequalities relaxed by eps."""
+    """Membership in the longest-side region, widened by a tolerance band.
+
+    The edges y = 0 and x = 1/2 are relaxed by eps.  The unit arc is
+    relaxed on its squared radius, x^2 + y^2 <= 1 + eps, which is about
+    eps/2 along its normal.
+    """
     return _in_c_region(p.x, p.y, tol.eps)
 
 
 def in_b_domain(p: Point, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Membership in the median-side region, inequalities relaxed by eps."""
+    """Membership in the median-side region, widened by a tolerance band.
+
+    The edges y = 0 and x = 1/2 are relaxed by eps.  Both unit arcs,
+    |p| >= 1 and |p - (1, 0)| <= 1, are relaxed on their squared radii by
+    eps, which is about eps/2 along their normals.
+    """
     return _in_b_region(p.x, p.y, tol.eps)
 
 
 def in_a_domain(p: Point, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Membership in the (unbounded) shortest-side region."""
+    """Membership in the (unbounded) shortest-side region.
+
+    As in in_b_domain, the edges are relaxed by eps and the unit arc
+    |p - (1, 0)| >= 1 on its squared radius, about eps/2 along its normal.
+    """
     return _in_a_region(p.x, p.y, tol.eps)
 
 

@@ -555,9 +555,21 @@ def test_argparse_errors_exit_code(capsys):
     assert main(["normalize", "--sides", "3", "4"]) == 2
 
 
+_SUBCOMMANDS = ("normalize", "classify", "convert", "similar", "quad-normalize", "domains", "plot")
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
+    # one indented line per subcommand, with its one-line help
+    listed = re.findall(r"^    (\S+) +\S", capsys.readouterr().out, re.MULTILINE)
+    assert listed == list(_SUBCOMMANDS)
     assert main(["normalize", "--help"]) == 0
+
+
+@pytest.mark.parametrize("command", _SUBCOMMANDS)
+def test_each_subcommand_help_exits_zero(command, capsys):
+    assert main([command, "--help"]) == 0
+    assert capsys.readouterr().out.startswith(f"usage: simnorm {command} [-h]")
 
 
 _FUZZ_NUMBERS = (

@@ -1,4 +1,4 @@
-"""The contract of the nine value types: frozen, slotted, compared and copied by field."""
+"""The contract of the fourteen value types: frozen, slotted, compared and copied by field."""
 
 import copy
 import math
@@ -23,8 +23,11 @@ from simnorm import (
     Triangle,
     TriangleClass,
 )
+from simnorm.figures import Arc, FigurePanel, Marker, Region, Segment
 
 P, Q, R, S = Point(0.0, 0.0), Point(2.0, 0.0), Point(2.0, 2.0), Point(0.0, 2.0)
+EDGE, MARK = Segment(0.0, 0.0, 1.0, 0.0), Marker(0.5, 1.0, "apex", "point")
+EDGE_TEXT = "Segment(x1=0.0, y1=0.0, x2=1.0, y2=0.0)"
 
 # (make a fresh value, its repr, its fields in constructor order)
 CASES = [
@@ -62,6 +65,28 @@ CASES = [
         lambda: QuadNormalForm(Point(0.5, 0.5), Point(0.5, -0.5)),
         "QuadNormalForm(c=Point(x=0.5, y=0.5), d=Point(x=0.5, y=-0.5))",
         (Point(0.5, 0.5), Point(0.5, -0.5)),
+    ),
+    (lambda: Segment(0.0, 0.0, 1.0, 0.0), EDGE_TEXT, (0.0, 0.0, 1.0, 0.0)),
+    (
+        lambda: Arc(0.5, 0.0, r=0.5, t0=0.0, t1=1.5),
+        "Arc(cx=0.5, cy=0.0, r=0.5, t0=0.0, t1=1.5)",
+        (0.5, 0.0, 0.5, 0.0, 1.5),
+    ),
+    (
+        lambda: Marker(0.5, 1.0, "apex", "point"),
+        "Marker(x=0.5, y=1.0, label='apex', role='point')",
+        (0.5, 1.0, "apex", "point"),
+    ),
+    (
+        lambda: Region(outline=(EDGE,), label="acute"),
+        f"Region(label='acute', outline=({EDGE_TEXT},))",
+        ("acute", (EDGE,)),
+    ),
+    (
+        lambda: FigurePanel("plane", (0.0, 0.0, 1.0, 1.0), (EDGE,), (), (), (MARK,), "a caption"),
+        f"FigurePanel(space='plane', viewport=(0.0, 0.0, 1.0, 1.0), boundary=({EDGE_TEXT},), "
+        f"right_locus=(), regions=(), markers=({MARK!r},), caption='a caption')",
+        ("plane", (0.0, 0.0, 1.0, 1.0), (EDGE,), (), (), (MARK,), "a caption"),
     ),
 ]
 IDS = [text.split("(", 1)[0] for _, text, _ in CASES]
@@ -138,18 +163,57 @@ def test_positional_match_patterns(make, text, fields):
             got = (angle_class, side_class)
         case QuadNormalForm(c, d):
             got = (c, d)
+        case Segment(x1, y1, x2, y2):
+            got = (x1, y1, x2, y2)
+        case Arc(cx, cy, r, t0, t1):
+            got = (cx, cy, r, t0, t1)
+        case Marker(x, y, label, role):
+            got = (x, y, label, role)
+        case Region(label, outline):
+            got = (label, outline)
+        case FigurePanel(space, viewport, boundary, right_locus, regions, markers, caption):
+            got = (space, viewport, boundary, right_locus, regions, markers, caption)
     assert got == fields
 
 
-def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    # -S keeps site hooks from loading them on the package's behalf
+def test_the_shared_constructor_fills_fields_by_position_then_by_name():
+    assert Segment(0.0, 0.0, y2=0.0, x2=1.0) == Segment(y1=0.0, x2=1.0, x1=0.0, y2=0.0) == EDGE
+    right = TriangleClass(side_class=SideClass.SCALENE, angle_class=AngleClass.RIGHT)
+    assert right == TriangleClass(AngleClass.RIGHT, SideClass.SCALENE)
+
+
+@pytest.mark.parametrize(
+    "args, kwargs",
+    [
+        ((0.0, 0.0, 1.0), {}),
+        ((), {"x1": 0.0, "y1": 0.0, "x2": 1.0}),
+        ((0.0, 0.0, 1.0, 0.0, 2.0), {}),
+        ((0.0, 0.0, 1.0, 0.0), {"z": 0.0}),
+        ((0.0, 0.0, 1.0), {"z": 0.0}),
+        ((0.0, 0.0, 1.0), {"x1": 0.0}),
+        ((0.0, 0.0, 1.0), {"x1": 0.0, "y2": 0.0}),
+    ],
+    ids=[
+        "too-few", "too-few-by-name", "too-many", "unknown", "unknown-for-missing",
+        "repeated", "repeated-and-missing-filled",
+    ],
+)
+def test_the_shared_constructor_rejects_missing_extra_and_unknown_fields(args, kwargs):
+    with pytest.raises(TypeError, match=r"Segment\(\) takes each of \('x1', 'y1', 'x2', 'y2'\) once"):
+        Segment(*args, **kwargs)
+
+
+@pytest.mark.parametrize("module", ["simnorm.cli", "simnorm.figures"])
+def test_cli_import_loads_neither_dataclasses_nor_inspect(module):
+    # -S keeps site hooks from loading them on the package's behalf; with
+    # simnorm.figures, that covers every module of the package
     src = os.path.dirname(os.path.dirname(simnorm.__file__))
     proc = subprocess.run(
         [
             sys.executable,
             "-S",
             "-c",
-            "import sys, simnorm.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))",
+            f"import sys, {module}; print(sorted({{'dataclasses', 'inspect'}} & set(sys.modules)))",
         ],
         capture_output=True,
         text=True,
